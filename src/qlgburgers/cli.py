@@ -13,21 +13,15 @@ names the offending key), 2 runtime divergence of the reference solver
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 __all__ = ["main"]
-
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
 
 
 class ConfigError(ValueError):
@@ -50,60 +44,46 @@ _VSET = {
     "basis": (list, None),
 }
 _FDM = {"substeps": (object, "auto"), "c_s": (object, None), "nu": (object, None)}
+# Sections shared by the commands that set up a cosine run on a grid.
+_SETUP_1D = {"grid": _GRID_1D, "collision": _COLLISION, "initial": _INITIAL}
+_SETUP_2D = {"grid": _GRID_2D, "collision": _COLLISION, "initial": _INITIAL, "velocity_set": _VSET}
+_SNAPSHOTS = {"steps": (int, REQUIRED), "snapshot_stride": (int, 1)}
+_LATTICE = {"collision_path": (str, "closed_form"), "streaming": (str, "standard")}
 
 SCHEMAS = {
     "simulate1d": {
         "model": (str, "d1q2"),
         "run_id": (str, REQUIRED),
-        "grid": _GRID_1D,
-        "collision": _COLLISION,
-        "initial": _INITIAL,
-        "steps": (int, REQUIRED),
-        "snapshot_stride": (int, 1),
-        "collision_path": (str, "closed_form"),
-        "streaming": (str, "standard"),
+        **_SETUP_1D,
+        **_SNAPSHOTS,
+        **_LATTICE,
     },
     "simulate2d": {
         "model": (str, "d2q2"),
         "run_id": (str, REQUIRED),
-        "grid": _GRID_2D,
-        "collision": _COLLISION,
-        "initial": _INITIAL,
-        "velocity_set": _VSET,
-        "steps": (int, REQUIRED),
-        "snapshot_stride": (int, 1),
-        "collision_path": (str, "closed_form"),
-        "streaming": (str, "standard"),
+        **_SETUP_2D,
+        **_SNAPSHOTS,
+        **_LATTICE,
     },
     "fdm1d": {
         "model": (str, "fdm1d"),
         "run_id": (str, REQUIRED),
-        "grid": _GRID_1D,
-        "collision": _COLLISION,
-        "initial": _INITIAL,
-        "steps": (int, REQUIRED),
-        "snapshot_stride": (int, 1),
+        **_SETUP_1D,
+        **_SNAPSHOTS,
         "fdm": _FDM,
     },
     "fdm2d": {
         "model": (str, "fdm2d"),
         "run_id": (str, REQUIRED),
-        "grid": _GRID_2D,
-        "collision": _COLLISION,
-        "initial": _INITIAL,
-        "velocity_set": _VSET,
-        "steps": (int, REQUIRED),
-        "snapshot_stride": (int, 1),
+        **_SETUP_2D,
+        **_SNAPSHOTS,
         "fdm": _FDM,
     },
     "analytic": {
         "model": (str, "analytic"),
         "run_id": (str, REQUIRED),
-        "grid": _GRID_1D,
-        "collision": _COLLISION,
-        "initial": _INITIAL,
-        "steps": (int, REQUIRED),
-        "snapshot_stride": (int, 1),
+        **_SETUP_1D,
+        **_SNAPSHOTS,
         "analytic": {"l_trunc": (int, 80), "nu_variant": (str, "corrected")},
     },
     "viscosity-sweep": {
@@ -139,23 +119,16 @@ SCHEMAS = {
     "compare-analytic": {
         "model": (str, "compare-analytic"),
         "run_id": (str, REQUIRED),
-        "grid": _GRID_1D,
-        "collision": _COLLISION,
-        "initial": _INITIAL,
+        **_SETUP_1D,
         "analytic": {"l_trunc": (int, 80)},
         "compare": {"input": (str, REQUIRED), "input_run_id": (str, REQUIRED)},
     },
     "compare-2d": {
         "model": (str, "compare-2d"),
         "run_id": (str, REQUIRED),
-        "grid": _GRID_2D,
-        "collision": _COLLISION,
-        "initial": _INITIAL,
-        "velocity_set": _VSET,
-        "steps": (int, REQUIRED),
-        "snapshot_stride": (int, 1),
-        "collision_path": (str, "closed_form"),
-        "streaming": (str, "standard"),
+        **_SETUP_2D,
+        **_SNAPSHOTS,
+        **_LATTICE,
         "fdm": {"substeps": (object, "auto")},
     },
 }
@@ -237,17 +210,6 @@ def _apply_overrides(cfg, overrides):
 # Builders from resolved config sections.
 
 
-def _build_params(section):
-    from .collision import CollisionParams
-
-    try:
-        return CollisionParams(
-            theta=section["theta"], zeta=section["zeta"], xi=section["xi"]
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config key 'collision.theta' invalid: {exc}") from exc
-
-
 def _build_vset(section):
     from .lattice import VelocitySet2D, velocity_set_by_name
 
@@ -271,6 +233,53 @@ def _build_vset(section):
         raise ConfigError(f"config key 'velocity_set' invalid: {exc}") from exc
 
 
+def _build_setup(resolved):
+    """Grid, collision parameters and velocity set of a cosine run; 1D has no velocity set."""
+    from .collision import CollisionParams
+    from .lattice import Grid1D, Grid2D
+
+    g = resolved["grid"]
+    if "n_y" in g:
+        grid = Grid2D(n_x=g["n_x"], n_y=g["n_y"], ds=g["ds"])
+    else:
+        grid = Grid1D(n_x=g["n_x"], length_x=g["length_x"])
+    col = resolved["collision"]
+    try:
+        params = CollisionParams(theta=col["theta"], zeta=col["zeta"], xi=col["xi"])
+    except ValueError as exc:
+        raise ConfigError(f"config key 'collision.theta' invalid: {exc}") from exc
+    vset = _build_vset(resolved["velocity_set"]) if "velocity_set" in resolved else None
+    return grid, params, vset
+
+
+def _analytic_config(resolved, grid, params, nu_variant):
+    from .experiments import analytic_config_for
+
+    ini = resolved["initial"]
+    return analytic_config_for(
+        grid,
+        params,
+        ini["rho_b"],
+        ini["rho_a"],
+        nu_variant=nu_variant,
+        l_trunc=resolved["analytic"]["l_trunc"],
+    )
+
+
+def _run_args(resolved):
+    """Keyword arguments of a lattice-gas run from the initial, step and streaming keys."""
+    ini = resolved["initial"]
+    return {
+        "rho_b": ini["rho_b"],
+        "rho_a": ini["rho_a"],
+        "steps": resolved["steps"],
+        "stride": resolved["snapshot_stride"],
+        "collision": resolved["collision_path"],
+        "reversed_streaming": resolved["streaming"] == "reversed",
+        "init": ini["mode"],
+    }
+
+
 def _vset_manifest(vset):
     c0, c1 = vset.cartesian()
     return {
@@ -281,215 +290,113 @@ def _vset_manifest(vset):
     }
 
 
-class _Stopwatch:
-    def __init__(self):
-        self.timings = {}
-
-    def stage(self, name):
-        return _Stage(self, name)
+def _coeffs_manifest(coeffs):
+    return {name: np.asarray(value).tolist() for name, value in vars(coeffs).items()}
 
 
-class _Stage:
-    def __init__(self, watch, name):
-        self.watch = watch
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.watch.timings[self.name] = time.perf_counter() - self.t0
-        return False
+@contextlib.contextmanager
+def _timed(timings, name):
+    """Record the wall time of the block as ``timings[name]``, also when it raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands.  A 2D config is one with a velocity set; the 1D and 2D
+# commands of a family share their handler.
 
 
-def _cmd_simulate1d(resolved, outdir, watch):
+def _cmd_simulate(resolved, outdir, timings):
     from .collision import predicted_coefficients_1d
-    from .io import snapshot_filename, write_snapshot_1d
-    from .lattice import Grid1D, init_cosine_1d, step_1d
+    from .experiments import _qlg_snapshots
+    from .io import snapshot_filename, write_snapshot_1d, write_snapshot_2d
+    from .lattice import predicted_coefficients_2d
 
-    grid = Grid1D(n_x=resolved["grid"]["n_x"], length_x=resolved["grid"]["length_x"])
-    params = _build_params(resolved["collision"])
-    ini = resolved["initial"]
-    reversed_streaming = resolved["streaming"] == "reversed"
-    with watch.stage("simulate"):
-        fld = init_cosine_1d(grid, ini["rho_b"], ini["rho_a"], params, init=ini["mode"])
-        write_snapshot_1d(outdir / snapshot_filename(resolved["run_id"], 0), fld)
-        for t in range(1, resolved["steps"] + 1):
-            fld = step_1d(
-                fld,
-                params,
-                collision=resolved["collision_path"],
-                reversed_streaming=reversed_streaming,
-            )
-            if t % resolved["snapshot_stride"] == 0:
-                write_snapshot_1d(outdir / snapshot_filename(resolved["run_id"], t), fld)
-    coeffs = predicted_coefficients_1d(params, grid.dx, grid.dt)
-    return {
-        "predicted_coefficients": {
-            "c_s": coeffs.c_s,
-            "nu": coeffs.nu,
-            "nu_yepez": coeffs.nu_yepez,
-        }
-    }
-
-
-def _cmd_simulate2d(resolved, outdir, watch):
-    from .io import snapshot_filename, write_snapshot_2d
-    from .lattice import Grid2D, init_cosine_2d, predicted_coefficients_2d, step_2d
-
-    grid = Grid2D(
-        n_x=resolved["grid"]["n_x"], n_y=resolved["grid"]["n_y"], ds=resolved["grid"]["ds"]
-    )
-    params = _build_params(resolved["collision"])
-    vset = _build_vset(resolved["velocity_set"])
-    ini = resolved["initial"]
-    reversed_streaming = resolved["streaming"] == "reversed"
-    with watch.stage("simulate"):
-        fld = init_cosine_2d(grid, ini["rho_b"], ini["rho_a"], params, init=ini["mode"])
-        write_snapshot_2d(outdir / snapshot_filename(resolved["run_id"], 0), fld)
-        for t in range(1, resolved["steps"] + 1):
-            fld = step_2d(
-                fld,
-                params,
-                vset,
-                collision=resolved["collision_path"],
-                reversed_streaming=reversed_streaming,
-            )
-            if t % resolved["snapshot_stride"] == 0:
-                write_snapshot_2d(outdir / snapshot_filename(resolved["run_id"], t), fld)
+    grid, params, vset = _build_setup(resolved)
+    write = write_snapshot_1d if vset is None else write_snapshot_2d
+    with _timed(timings, "simulate"):
+        # write each snapshot when it is produced, then drop it, so the steps up
+        # to the next snapshot hold no field beyond their own
+        for t, fld in _qlg_snapshots(grid, params, vset, **_run_args(resolved)):
+            write(outdir / snapshot_filename(resolved["run_id"], t), fld)
+            del fld
+    if vset is None:
+        coeffs = predicted_coefficients_1d(params, grid.dx, grid.dt)
+        return {"predicted_coefficients": _coeffs_manifest(coeffs)}
     coeffs = predicted_coefficients_2d(vset, params, grid.ds, grid.dt)
-    return {
-        "velocity_set": _vset_manifest(vset),
-        "predicted_coefficients": {
-            "a": list(map(float, coeffs.a)),
-            "b": list(map(float, coeffs.b)),
-            "D": [list(map(float, row)) for row in coeffs.D],
-        },
-    }
+    return {"velocity_set": _vset_manifest(vset), "predicted_coefficients": _coeffs_manifest(coeffs)}
 
 
-def _fdm_coeffs_1d(resolved, grid, params):
+def _fdm_setup(resolved, grid, params, vset):
+    """Index-space coefficients of the reference solver and its substep count.
+
+    2D solves on the index grid: streaming shifts act there, so the
+    comparison with the lattice gas is site-by-site.  1D embeds (c_s, nu),
+    predicted or overridden, as the axis-symmetric 2D set a = 0,
+    b = (c_s, 0), D = diag(nu, 0), so ``auto`` bounds its step alike.
+    """
     from .collision import predicted_coefficients_1d
-
-    coeffs = predicted_coefficients_1d(params, grid.dx, grid.dt)
-    c_s = resolved["fdm"]["c_s"]
-    nu = resolved["fdm"]["nu"]
-    return (
-        float(c_s) if c_s is not None else coeffs.c_s,
-        float(nu) if nu is not None else coeffs.nu,
-    )
-
-
-def _cmd_fdm1d(resolved, outdir, watch):
-    from .experiments import run_fdm_1d
-    from .io import snapshot_filename, write_density_snapshot_1d
-    from .lattice import Grid1D
-
-    grid = Grid1D(n_x=resolved["grid"]["n_x"], length_x=resolved["grid"]["length_x"])
-    params = _build_params(resolved["collision"])
-    ini = resolved["initial"]
-    c_s, nu = _fdm_coeffs_1d(resolved, grid, params)
-    substeps = resolved["fdm"]["substeps"]
-    substeps = 1 if substeps in (None, "auto") else int(substeps)
-    with watch.stage("solve"):
-        trace, div_step = run_fdm_1d(
-            grid,
-            c_s,
-            nu,
-            ini["rho_b"],
-            ini["rho_a"],
-            resolved["steps"],
-            stride=resolved["snapshot_stride"],
-            substeps=substeps,
-        )
-    xs = grid.positions()
-    for k, step in enumerate(trace.steps):
-        write_density_snapshot_1d(
-            outdir / snapshot_filename(resolved["run_id"], int(step)),
-            xs,
-            trace.rho[k],
-            float(step) * grid.dt,
-        )
-    return {"c_s": c_s, "nu": nu, "substeps": substeps, "divergence_step": div_step}
-
-
-def _cmd_fdm2d(resolved, outdir, watch):
-    from .experiments import run_fdm_2d
     from .fdm import substeps_auto
-    from .io import snapshot_filename, write_rows_csv
-    from .lattice import Grid2D, predicted_coefficients_2d
+    from .lattice import PdeCoefficients2D, predicted_coefficients_2d
 
-    grid = Grid2D(
-        n_x=resolved["grid"]["n_x"], n_y=resolved["grid"]["n_y"], ds=resolved["grid"]["ds"]
-    )
-    params = _build_params(resolved["collision"])
-    vset = _build_vset(resolved["velocity_set"])
-    ini = resolved["initial"]
-    # Solve on the index grid: streaming shifts act there, so the
-    # comparison with the lattice gas is site-by-site.
-    coeffs = predicted_coefficients_2d(vset.index_space(), params, grid.ds, grid.dt)
+    if vset is not None:
+        coeffs = predicted_coefficients_2d(vset.index_space(), params, grid.ds, grid.dt)
+        ds = grid.ds
+    else:
+        predicted = predicted_coefficients_1d(params, grid.dx, grid.dt)
+        fdm = resolved["fdm"]
+        c_s = predicted.c_s if fdm["c_s"] is None else float(fdm["c_s"])
+        nu = predicted.nu if fdm["nu"] is None else float(fdm["nu"])
+        coeffs = PdeCoefficients2D(a=np.zeros(2), b=np.array([c_s, 0.0]), D=np.diag([nu, 0.0]))
+        ds = grid.dx
     substeps = resolved["fdm"]["substeps"]
     if substeps in (None, "auto"):
-        substeps = substeps_auto(coeffs, grid.ds, grid.dt)
-    with watch.stage("solve"):
-        trace, div_step = run_fdm_2d(
-            grid,
-            coeffs,
-            ini["rho_b"],
-            ini["rho_a"],
-            resolved["steps"],
-            stride=resolved["snapshot_stride"],
-            substeps=int(substeps),
-        )
-    for k, step in enumerate(trace.steps):
-        rows = []
-        t = float(step) * grid.dt
-        for i in range(grid.n_x):
-            for j in range(grid.n_y):
-                rows.append((t, i * grid.ds, j * grid.ds, trace.rho[k, i, j]))
-        write_rows_csv(
-            outdir / snapshot_filename(resolved["run_id"], int(step)),
-            ("t", "x", "y", "rho"),
-            rows,
-        )
-    return {
-        "velocity_set": _vset_manifest(vset),
-        "substeps": int(substeps),
-        "divergence_step": div_step,
-        "index_space_coefficients": {
-            "a": list(map(float, coeffs.a)),
-            "b": list(map(float, coeffs.b)),
-            "D": [list(map(float, row)) for row in coeffs.D],
-        },
-    }
+        return coeffs, substeps_auto(coeffs, ds, grid.dt)
+    return coeffs, int(substeps)
 
 
-def _cmd_analytic(resolved, outdir, watch):
-    from .analytic import cole_hopf_density
-    from .experiments import analytic_config_for
-    from .io import snapshot_filename, write_density_snapshot_1d
-    from .lattice import Grid1D
+def _cmd_fdm(resolved, outdir, timings):
+    from .experiments import run_fdm_1d, run_fdm_2d
+    from .io import _write_sites, snapshot_filename
 
-    grid = Grid1D(n_x=resolved["grid"]["n_x"], length_x=resolved["grid"]["length_x"])
-    params = _build_params(resolved["collision"])
+    grid, params, vset = _build_setup(resolved)
     ini = resolved["initial"]
-    cfg = analytic_config_for(
-        grid,
-        params,
-        ini["rho_b"],
-        ini["rho_a"],
-        nu_variant=resolved["analytic"]["nu_variant"],
-        l_trunc=resolved["analytic"]["l_trunc"],
-    )
+    coeffs, substeps = _fdm_setup(resolved, grid, params, vset)
+    run = (ini["rho_b"], ini["rho_a"], resolved["steps"], resolved["snapshot_stride"], substeps)
+    with _timed(timings, "solve"):
+        if vset is None:
+            c_s, nu = float(coeffs.b[0]), float(coeffs.D[0, 0])
+            trace, div_step = run_fdm_1d(grid, c_s, nu, *run)
+            out = {"c_s": c_s, "nu": nu}
+        else:
+            trace, div_step = run_fdm_2d(grid, coeffs, *run)
+            out = {
+                "velocity_set": _vset_manifest(vset),
+                "index_space_coefficients": _coeffs_manifest(coeffs),
+            }
+    for rho, step in zip(trace.rho, trace.steps):
+        path = outdir / snapshot_filename(resolved["run_id"], int(step))
+        _write_sites(path, grid, float(step) * grid.dt, rho=rho)
+    return {**out, "substeps": substeps, "divergence_step": div_step}
+
+
+def _cmd_analytic(resolved, outdir, timings):
+    from .analytic import cole_hopf_density
+    from .experiments import _snapshots
+    from .io import snapshot_filename, write_density_snapshot_1d
+
+    grid, params, _ = _build_setup(resolved)
+    cfg = _analytic_config(resolved, grid, params, resolved["analytic"]["nu_variant"])
     xs = grid.positions()
-    with watch.stage("evaluate"):
-        for step in range(0, resolved["steps"] + 1, resolved["snapshot_stride"]):
-            t = step * grid.dt
+    # the state carried through the snapshot loop is the physical time
+    times = _snapshots(
+        0.0, lambda _, step: step * grid.dt, resolved["steps"], resolved["snapshot_stride"]
+    )
+    with _timed(timings, "evaluate"):
+        for step, t in times:
             rho = cole_hopf_density(xs, t, cfg)
             write_density_snapshot_1d(
                 outdir / snapshot_filename(resolved["run_id"], step), xs, rho, t
@@ -497,15 +404,13 @@ def _cmd_analytic(resolved, outdir, watch):
     return {"nu": cfg.nu, "bessel_argument": cfg.amplitude, "l_trunc": cfg.l_trunc}
 
 
-def _cmd_viscosity_sweep(resolved, outdir, watch):
-    import numpy as np
-
+def _cmd_viscosity_sweep(resolved, outdir, timings):
     from .experiments import viscosity_sweep
     from .io import write_rows_csv
 
     sw = resolved["sweep"]
     thetas = np.linspace(sw["theta_start"], sw["theta_stop"], sw["count"])
-    with watch.stage("sweep"):
+    with _timed(timings, "sweep"):
         rows = viscosity_sweep(
             thetas,
             sw["T"],
@@ -525,15 +430,13 @@ def _cmd_viscosity_sweep(resolved, outdir, watch):
     return {"failures": failures} if failures else {}
 
 
-def _cmd_steepness_sweep(resolved, outdir, watch):
-    import numpy as np
-
+def _cmd_steepness_sweep(resolved, outdir, timings):
     from .experiments import steepness_sweep
     from .io import write_rows_csv
 
     sp = resolved["steepness"]
     thetas = np.linspace(sp["theta_start"], sp["theta_stop"], sp["count"])
-    with watch.stage("sweep"):
+    with _timed(timings, "sweep"):
         rows = steepness_sweep(
             thetas,
             sp["T_values"],
@@ -552,18 +455,13 @@ def _cmd_steepness_sweep(resolved, outdir, watch):
     return {}
 
 
-def _cmd_compare_analytic(resolved, outdir, watch):
-    import numpy as np
-
-    from .experiments import DensityTrace, analytic_config_for, mse_compare
+def _cmd_compare_analytic(resolved, outdir, timings):
+    from .experiments import DensityTrace, mse_compare
     from .io import read_trace_1d, write_rows_csv
-    from .lattice import Grid1D
 
-    grid = Grid1D(n_x=resolved["grid"]["n_x"], length_x=resolved["grid"]["length_x"])
-    params = _build_params(resolved["collision"])
-    ini = resolved["initial"]
+    grid, params, _ = _build_setup(resolved)
     cmp_cfg = resolved["compare"]
-    with watch.stage("read"):
+    with _timed(timings, "read"):
         steps, xs, rho = read_trace_1d(cmp_cfg["input"], cmp_cfg["input_run_id"])
     if rho.shape[1] != grid.n_x:
         raise ConfigError(
@@ -574,18 +472,11 @@ def _cmd_compare_analytic(resolved, outdir, watch):
             f"config key 'grid.length_x' implies dx={grid.dx} but input snapshots "
             f"have spacing {xs[1] - xs[0]}"
         )
-    trace = DensityTrace(rho=rho, steps=np.asarray(steps), grid=grid, params=params)
+    trace = DensityTrace(rho=rho, steps=steps, grid=grid, params=params)
     out = {}
-    with watch.stage("compare"):
+    with _timed(timings, "compare"):
         for variant in ("corrected", "yepez"):
-            cfg = analytic_config_for(
-                grid,
-                params,
-                ini["rho_b"],
-                ini["rho_a"],
-                nu_variant=variant,
-                l_trunc=resolved["analytic"]["l_trunc"],
-            )
+            cfg = _analytic_config(resolved, grid, params, variant)
             series = mse_compare(trace, cfg)
             write_rows_csv(
                 outdir / f"{resolved['run_id']}_mse_{variant}.csv",
@@ -596,47 +487,21 @@ def _cmd_compare_analytic(resolved, outdir, watch):
     return out
 
 
-def _cmd_compare_2d(resolved, outdir, watch):
+def _cmd_compare_2d(resolved, outdir, timings):
     from .experiments import l2_compare_2d, run_fdm_2d, run_qlg_2d
-    from .fdm import substeps_auto
     from .io import write_rows_csv
-    from .lattice import Grid2D, predicted_coefficients_2d
 
-    grid = Grid2D(
-        n_x=resolved["grid"]["n_x"], n_y=resolved["grid"]["n_y"], ds=resolved["grid"]["ds"]
-    )
-    params = _build_params(resolved["collision"])
-    vset = _build_vset(resolved["velocity_set"])
-    ini = resolved["initial"]
-    coeffs = predicted_coefficients_2d(vset.index_space(), params, grid.ds, grid.dt)
-    substeps = resolved["fdm"]["substeps"]
-    if substeps in (None, "auto"):
-        substeps = substeps_auto(coeffs, grid.ds, grid.dt)
-    with watch.stage("qlg"):
-        qlg = run_qlg_2d(
-            grid,
-            params,
-            vset,
-            ini["rho_b"],
-            ini["rho_a"],
-            resolved["steps"],
-            stride=resolved["snapshot_stride"],
-            collision=resolved["collision_path"],
-            reversed_streaming=resolved["streaming"] == "reversed",
-            init=ini["mode"],
-        )
-    with watch.stage("fdm"):
+    grid, params, vset = _build_setup(resolved)
+    coeffs, substeps = _fdm_setup(resolved, grid, params, vset)
+    run = _run_args(resolved)
+    with _timed(timings, "qlg"):
+        qlg = run_qlg_2d(grid, params, vset, **run)
+    with _timed(timings, "fdm"):
         fdm, div_step = run_fdm_2d(
-            grid,
-            coeffs,
-            ini["rho_b"],
-            ini["rho_a"],
-            resolved["steps"],
-            stride=resolved["snapshot_stride"],
-            substeps=int(substeps),
+            grid, coeffs, run["rho_b"], run["rho_a"], run["steps"], run["stride"], substeps
         )
-    with watch.stage("compare"):
-        series = l2_compare_2d(qlg, fdm, ini["rho_b"])
+    with _timed(timings, "compare"):
+        series = l2_compare_2d(qlg, fdm, run["rho_b"])
     write_rows_csv(
         outdir / f"{resolved['run_id']}_l2.csv",
         ("t", "metric"),
@@ -644,42 +509,22 @@ def _cmd_compare_2d(resolved, outdir, watch):
     )
     return {
         "velocity_set": _vset_manifest(vset),
-        "substeps": int(substeps),
+        "substeps": substeps,
         "divergence_step": div_step,
     }
 
 
 _COMMANDS = {
-    "simulate1d": _cmd_simulate1d,
-    "simulate2d": _cmd_simulate2d,
-    "fdm1d": _cmd_fdm1d,
-    "fdm2d": _cmd_fdm2d,
+    "simulate1d": _cmd_simulate,
+    "simulate2d": _cmd_simulate,
+    "fdm1d": _cmd_fdm,
+    "fdm2d": _cmd_fdm,
     "analytic": _cmd_analytic,
     "viscosity-sweep": _cmd_viscosity_sweep,
     "steepness-sweep": _cmd_steepness_sweep,
     "compare-analytic": _cmd_compare_analytic,
     "compare-2d": _cmd_compare_2d,
 }
-
-_EXPECTED_MODEL = {
-    "simulate1d": "d1q2",
-    "simulate2d": "d2q2",
-}
-
-
-def _write_gnuplot(outdir, run_id, command):
-    lines = [
-        f"# gnuplot helper for run '{run_id}' ({command})",
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-    ]
-    if command in ("viscosity-sweep",):
-        lines.append(f"plot '{run_id}_sweep.csv' using 1:4 with points, '' using 1:2 with lines")
-    elif command in ("compare-analytic", "compare-2d"):
-        lines.append(f"plot '{run_id}_l2.csv' using 1:2 with linespoints")
-    else:
-        lines.append(f"plot '{run_id}_t0.csv' using 2:3 with lines")
-    (Path(outdir) / f"{run_id}.gp").write_text("\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:
@@ -699,15 +544,7 @@ def main(argv=None) -> int:
             metavar="KEY=VALUE",
             help="override a config key (dotted path), repeatable",
         )
-        p.add_argument("--threads", type=int, default=None, help="cap BLAS/OpenMP thread pools")
-        p.add_argument(
-            "--gnuplot", action="store_true", help="also emit a gnuplot script for the main CSV"
-        )
     args = parser.parse_args(argv)
-
-    if args.threads is not None:
-        for var in _THREAD_ENV_VARS:
-            os.environ[var] = str(args.threads)
 
     try:
         with open(args.config) as fh:
@@ -727,7 +564,7 @@ def main(argv=None) -> int:
         raw = _apply_overrides(raw, args.override)
         resolved = _resolve(raw, SCHEMAS[args.command])
         _check_choices(resolved)
-        expected = _EXPECTED_MODEL.get(args.command, args.command)
+        expected = SCHEMAS[args.command]["model"][1]  # the default is the only valid model
         if resolved["model"] != expected:
             raise ConfigError(
                 f"config key 'model' is {resolved['model']!r} but command "
@@ -740,16 +577,12 @@ def main(argv=None) -> int:
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    watch = _Stopwatch()
+    timings = {}
     exit_code = 0
-    extra = {}
     try:
-        with watch.stage("total"):
-            extra = _COMMANDS[args.command](resolved, outdir, watch) or {}
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError) as exc:
+        with _timed(timings, "total"):
+            extra = _COMMANDS[args.command](resolved, outdir, timings) or {}
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except FdmDivergenceError as exc:
@@ -762,11 +595,9 @@ def main(argv=None) -> int:
         outdir / "manifest.json",
         resolved,
         __version__,
-        watch.timings,
-        extra={"results": extra, "threads": args.threads},
+        timings,
+        extra={"results": extra},
     )
-    if args.gnuplot:
-        _write_gnuplot(outdir, resolved["run_id"], args.command)
     return exit_code
 
 

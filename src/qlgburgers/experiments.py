@@ -12,7 +12,6 @@ of the same configuration are bitwise identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .lattice import (
     Grid2D,
     PdeCoefficients2D,
     VelocitySet2D,
+    _cosine_density,
     density,
     init_cosine_1d,
     init_cosine_2d,
@@ -131,6 +131,60 @@ class SweepRow:
     error: str = ""
 
 
+def _snapshots(state, advance, steps: int, stride: int):
+    """Yield (step, state) at step 0 and every stride-th step; ``advance(state, t)`` makes step t.
+
+    Steps after the last snapshot are taken too, so a failure there still surfaces.
+    """
+    yield 0, state
+    for t in range(1, steps + 1):
+        state = advance(state, t)
+        if t % stride == 0:
+            yield t, state
+
+
+def _qlg_snapshots(grid, params, vset, rho_b, rho_a, steps, stride, collision, reversed_streaming, init):
+    """Lattice-gas field snapshots from the cosine start; ``vset`` None selects 1D."""
+    kwargs = {"collision": collision, "reversed_streaming": reversed_streaming}
+    if vset is None:
+        fld = init_cosine_1d(grid, rho_b, rho_a, params, init=init)
+        return _snapshots(fld, lambda f, t: step_1d(f, params, **kwargs), steps, stride)
+    fld = init_cosine_2d(grid, rho_b, rho_a, params, init=init)
+    return _snapshots(fld, lambda f, t: step_2d(f, params, vset, **kwargs), steps, stride)
+
+
+def _trace(snapshots, grid, params=None) -> tuple:
+    """Stack (step, rho) snapshots into a trace; returns (trace, divergence_step).
+
+    A reference-solver divergence ends the trace after the last healthy snapshot.
+    """
+    rhos, recorded, div_step = [], [], None
+    try:
+        for t, rho in snapshots:
+            rhos.append(rho)
+            recorded.append(t)
+    except FdmDivergenceError as exc:
+        div_step = exc.step
+    trace = DensityTrace(rho=np.stack(rhos), steps=np.asarray(recorded), grid=grid, params=params)
+    return trace, div_step
+
+
+def _fdm_trace(grid, rho_b, rho_a, steps, stride, substeps, update) -> tuple:
+    """Reference-solver run from the cosine start; returns (trace, divergence_step).
+
+    Each lattice step is ``substeps`` calls of ``update(rho, dt_sub)``, then the divergence check.
+    """
+    dt_sub = grid.dt / substeps
+
+    def advance(rho, t):
+        for _ in range(substeps):
+            rho = update(rho, dt_sub)
+        divergence_check(rho, rho_b, rho_a, t)
+        return rho
+
+    return _trace(_snapshots(_cosine_density(grid, rho_b, rho_a), advance, steps, stride), grid)
+
+
 def run_qlg_1d(
     grid: Grid1D,
     params: CollisionParams,
@@ -143,15 +197,10 @@ def run_qlg_1d(
     init: str = "equilibrium",
 ) -> DensityTrace:
     """Run the 1D lattice gas and record density snapshots."""
-    fld = init_cosine_1d(grid, rho_b, rho_a, params, init=init)
-    snaps = [density(fld)]
-    recorded = [0]
-    for t in range(1, steps + 1):
-        fld = step_1d(fld, params, collision=collision, reversed_streaming=reversed_streaming)
-        if t % stride == 0:
-            snaps.append(density(fld))
-            recorded.append(t)
-    return DensityTrace(rho=np.stack(snaps), steps=np.asarray(recorded), grid=grid, params=params)
+    snaps = _qlg_snapshots(
+        grid, params, None, rho_b, rho_a, steps, stride, collision, reversed_streaming, init
+    )
+    return _trace(((t, density(fld)) for t, fld in snaps), grid, params)[0]
 
 
 def run_qlg_2d(
@@ -167,15 +216,10 @@ def run_qlg_2d(
     init: str = "equilibrium",
 ) -> DensityTrace:
     """Run the 2D lattice gas and record density snapshots."""
-    fld = init_cosine_2d(grid, rho_b, rho_a, params, init=init)
-    snaps = [density(fld)]
-    recorded = [0]
-    for t in range(1, steps + 1):
-        fld = step_2d(fld, params, vset, collision=collision, reversed_streaming=reversed_streaming)
-        if t % stride == 0:
-            snaps.append(density(fld))
-            recorded.append(t)
-    return DensityTrace(rho=np.stack(snaps), steps=np.asarray(recorded), grid=grid, params=params)
+    snaps = _qlg_snapshots(
+        grid, params, vset, rho_b, rho_a, steps, stride, collision, reversed_streaming, init
+    )
+    return _trace(((t, density(fld)) for t, fld in snaps), grid, params)[0]
 
 
 def run_fdm_1d(
@@ -194,27 +238,11 @@ def run_fdm_1d(
     sample; ``substeps`` splits it for stability.  On divergence the
     trace is truncated after the last healthy snapshot.
     """
-    beta = 2.0 * math.pi / grid.length_x
-    rho = rho_b + rho_a * np.cos(beta * grid.positions())
-    snaps = [rho.copy()]
-    recorded = [0]
-    div_step = None
-    dt_sub = grid.dt / substeps
-    for t in range(1, steps + 1):
-        for _ in range(substeps):
-            rho = fdm_step_1d(rho, c_s, nu, grid.dx, dt_sub)
-        try:
-            divergence_check(rho, rho_b, rho_a, t)
-        except FdmDivergenceError as exc:
-            div_step = exc.step
-            break
-        if t % stride == 0:
-            snaps.append(rho.copy())
-            recorded.append(t)
-    return (
-        DensityTrace(rho=np.stack(snaps), steps=np.asarray(recorded), grid=grid),
-        div_step,
-    )
+
+    def update(rho, dt):
+        return fdm_step_1d(rho, c_s, nu, grid.dx, dt)
+
+    return _fdm_trace(grid, rho_b, rho_a, steps, stride, substeps, update)
 
 
 def run_fdm_2d(
@@ -227,33 +255,13 @@ def run_fdm_2d(
     substeps="auto",
 ) -> tuple:
     """Run the 2D reference solver; returns (trace, divergence_step)."""
-    i = np.arange(grid.n_x)[:, None]
-    j = np.arange(grid.n_y)[None, :]
-    rho = rho_b + rho_a * (
-        np.cos(2.0 * math.pi * i / grid.n_x) + np.cos(2.0 * math.pi * j / grid.n_y)
-    )
     if substeps == "auto":
         substeps = substeps_auto(coeffs, grid.ds, grid.dt)
-    substeps = int(substeps)
-    snaps = [rho.copy()]
-    recorded = [0]
-    div_step = None
-    dt_sub = grid.dt / substeps
-    for t in range(1, steps + 1):
-        for _ in range(substeps):
-            rho = fdm_step_2d(rho, coeffs, grid.ds, dt_sub)
-        try:
-            divergence_check(rho, rho_b, rho_a, t)
-        except FdmDivergenceError as exc:
-            div_step = exc.step
-            break
-        if t % stride == 0:
-            snaps.append(rho.copy())
-            recorded.append(t)
-    return (
-        DensityTrace(rho=np.stack(snaps), steps=np.asarray(recorded), grid=grid),
-        div_step,
-    )
+
+    def update(rho, dt):
+        return fdm_step_2d(rho, coeffs, grid.ds, dt)
+
+    return _fdm_trace(grid, rho_b, rho_a, steps, stride, int(substeps), update)
 
 
 def experimental_viscosity(

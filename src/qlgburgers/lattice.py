@@ -224,7 +224,22 @@ def momentum_u(fld):
     return fld.f1 - fld.f0
 
 
-def _initial_pairs(rho, params, init):
+def _cosine_density(grid, rho_b: float, rho_a: float) -> np.ndarray:
+    """The cosine initial density of :func:`init_cosine_1d` and :func:`init_cosine_2d`."""
+    if isinstance(grid, Grid1D):
+        beta = 2.0 * math.pi / grid.length_x
+        return rho_b + rho_a * np.cos(beta * grid.positions())
+    i = np.arange(grid.n_x)[:, None]
+    j = np.arange(grid.n_y)[None, :]
+    return rho_b + rho_a * (np.cos(2.0 * math.pi * i / grid.n_x) + np.cos(2.0 * math.pi * j / grid.n_y))
+
+
+def _cosine_pairs(grid, rho_b, rho_a, params, init):
+    """Site pairs of the cosine density, after checking that it stays in [0, 2]."""
+    spread = (1 if isinstance(grid, Grid1D) else 2) * abs(rho_a)
+    if rho_b - spread < 0.0 or rho_b + spread > 2.0:
+        raise ValueError(f"initial density range [{rho_b - spread}, {rho_b + spread}] leaves [0, 2]")
+    rho = _cosine_density(grid, rho_b, rho_a)
     if init == "equilibrium":
         return equilibrium(rho, params)
     if init == "symmetric":
@@ -241,13 +256,7 @@ def init_cosine_1d(
     hydrodynamic assumptions hold from t = 0) unless ``init`` selects
     the symmetric split (rho/2, rho/2).
     """
-    if rho_b - abs(rho_a) < 0.0 or rho_b + abs(rho_a) > 2.0:
-        raise ValueError(
-            f"initial density range [{rho_b - abs(rho_a)}, {rho_b + abs(rho_a)}] leaves [0, 2]"
-        )
-    beta = 2.0 * math.pi / grid.length_x
-    rho = rho_b + rho_a * np.cos(beta * grid.positions())
-    f0, f1 = _initial_pairs(rho, params, init)
+    f0, f1 = _cosine_pairs(grid, rho_b, rho_a, params, init)
     return PopulationField1D(f0=f0, f1=f1, grid=grid, t=0)
 
 
@@ -255,22 +264,27 @@ def init_cosine_2d(
     grid: Grid2D, rho_b: float, rho_a: float, params: CollisionParams, init: str = "equilibrium"
 ) -> PopulationField2D:
     """Field with rho(i, j, 0) = rho_b + rho_a [cos(2 pi i / N_x) + cos(2 pi j / N_y)]."""
-    if rho_b - 2.0 * abs(rho_a) < 0.0 or rho_b + 2.0 * abs(rho_a) > 2.0:
-        raise ValueError(
-            f"initial density range [{rho_b - 2 * abs(rho_a)}, {rho_b + 2 * abs(rho_a)}] leaves [0, 2]"
-        )
-    i = np.arange(grid.n_x)[:, None]
-    j = np.arange(grid.n_y)[None, :]
-    rho = rho_b + rho_a * (np.cos(2.0 * math.pi * i / grid.n_x) + np.cos(2.0 * math.pi * j / grid.n_y))
-    f0, f1 = _initial_pairs(rho, params, init)
+    f0, f1 = _cosine_pairs(grid, rho_b, rho_a, params, init)
     return PopulationField2D(f0=f0, f1=f1, grid=grid, t=0)
 
 
-def _collide(f0, f1, params, path):
-    if path == "closed_form":
-        return collide_closed_form(f0, f1, params)
-    if path == "quantum":
-        return collide_quantum(f0, f1, params)
+def _collide(fld, params, path):
+    """Collide every site of ``fld``; a range error is raised again naming the step and site."""
+    try:
+        if path == "closed_form":
+            return collide_closed_form(fld.f0, fld.f1, params)
+        if path == "quantum":
+            return collide_quantum(fld.f0, fld.f1, params)
+    except PopulationRangeError as exc:
+        site = exc.index
+        axes = "x"
+        if fld.f0.ndim == 2:
+            axes = "(i, j)"
+            if site is not None:
+                site = tuple(int(c) for c in np.unravel_index(site, fld.f0.shape))
+        raise PopulationRangeError(
+            f"collision failed at t={fld.t}, site {axes}={site}: {exc}", exc.index, exc.value
+        ) from exc
     raise ValueError(f"collision path must be 'closed_form' or 'quantum', got {path!r}")
 
 
@@ -302,12 +316,7 @@ def step_1d(
     c1 = +1); ``reversed_streaming`` moves it by -c_i, the literal
     finite-difference convention, kept for the sign-discrepancy study.
     """
-    try:
-        g0, g1 = _collide(fld.f0, fld.f1, params, collision)
-    except PopulationRangeError as exc:
-        raise PopulationRangeError(
-            f"collision failed at t={fld.t}, site x={exc.index}: {exc}", exc.index, exc.value
-        ) from exc
+    g0, g1 = _collide(fld, params, collision)
     f0, f1 = stream_1d(g0, g1, reversed_streaming)
     return PopulationField1D(f0=f0, f1=f1, grid=fld.grid, t=fld.t + 1)
 
@@ -320,15 +329,7 @@ def step_2d(
     reversed_streaming: bool = False,
 ) -> PopulationField2D:
     """One 2D step: same collision as 1D, streaming by integer shifts."""
-    try:
-        g0, g1 = _collide(fld.f0, fld.f1, params, collision)
-    except PopulationRangeError as exc:
-        coords = None
-        if exc.index is not None:
-            coords = tuple(int(c) for c in np.unravel_index(exc.index, fld.f0.shape))
-        raise PopulationRangeError(
-            f"collision failed at t={fld.t}, site (i, j)={coords}: {exc}", exc.index, exc.value
-        ) from exc
+    g0, g1 = _collide(fld, params, collision)
     f0, f1 = stream_2d(g0, g1, vset, reversed_streaming)
     return PopulationField2D(f0=f0, f1=f1, grid=fld.grid, t=fld.t + 1)
 

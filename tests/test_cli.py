@@ -231,6 +231,28 @@ class TestOtherCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["divergence_step"] is None
 
+    def test_fdm1d_auto_substeps_bound_the_step(self, tmp_path):
+        # fig4's grid and angle: the embedded axis-symmetric coefficients
+        # a = 0, b = (c_s, 0), D = diag(nu, 0) need 3 substeps per step
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "fdm1d",
+                "--config",
+                str(CONFIGS / "fig4.yaml"),
+                "--out",
+                str(out),
+                "--override",
+                "model=fdm1d",
+                "--override",
+                "steps=8",
+            ]
+        )
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["fdm"]["substeps"] == "auto"
+        assert manifest["results"]["substeps"] == 3
+
     def test_fdm2d_divergence_exit_code(self, tmp_path):
         # substeps forced to 1 with strong advection: the solver must blow
         # up, exit 2, and record the first bad step
@@ -329,12 +351,6 @@ class TestOtherCommands:
         assert "divergence_step" in manifest["results"]
         assert "substeps" in manifest["results"]
 
-    def test_gnuplot_flag(self, tmp_path):
-        cfg = write_config(tmp_path, small_1d_config())
-        out = tmp_path / "out"
-        main(["simulate1d", "--config", str(cfg), "--out", str(out), "--gnuplot"])
-        assert (out / "tiny.gp").exists()
-
 
 class TestCheckedInConfigs:
     def test_all_configs_parse(self, tmp_path):
@@ -391,12 +407,8 @@ class TestConsoleEntryPoint:
                 str(cfg),
                 "--out",
                 str(out),
-                "--threads",
-                "1",
             ],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["threads"] == 1
