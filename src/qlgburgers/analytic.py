@@ -130,16 +130,21 @@ def bessel_ratio(l: int, a: float) -> float:
     return float(bessel_ratios(l, a)[l])
 
 
-def _psi_sums(x, t, cfg: AnalyticConfig):
-    """Return (psi, d_x psi), both normalized by I_0(A), in extended precision."""
+def _psi_sums(x, times, cfg: AnalyticConfig):
+    """Yield (psi, d_x psi) at each of ``times``, normalized by I_0(A), in extended precision.
+
+    ``x`` is a 1-D array.  The Bessel ratios and the (l, x) phase tables do
+    not depend on t, so they are built once for all times.
+    """
     x = np.asarray(x, dtype=_LD)
-    beta = _LD(2) * _LD(np.pi) / _LD(cfg.length_x)
-    nu = _LD(cfg.nu)
-    t_ld = _LD(t)
     amp = cfg.amplitude
     if amp == 0.0:
         # rho_a = 0: psi is constant and the field stays at rho_b.
-        return np.ones_like(x), np.zeros_like(x)
+        for _ in times:
+            yield np.ones_like(x), np.zeros_like(x)
+        return
+    beta = _LD(2) * _LD(np.pi) / _LD(cfg.length_x)
+    nu = _LD(cfg.nu)
     ratios = bessel_ratios(cfg.l_trunc, abs(amp))
     if amp < 0.0:
         # I_l(-A) = (-1)^l I_l(A)
@@ -147,45 +152,53 @@ def _psi_sums(x, t, cfg: AnalyticConfig):
     ls = np.arange(1, cfg.l_trunc + 1)
     cl = np.array([_COS_HALF_PI[l % 4] for l in ls], dtype=_LD)[:, None]
     sl = np.array([_SIN_HALF_PI[l % 4] for l in ls], dtype=_LD)[:, None]
-    phase = (ls.astype(_LD) * beta)[:, None] * x[None, :]
+    l_beta = (ls.astype(_LD) * beta)[:, None]
+    phase = l_beta * x[None, :]
     cos_p = np.cos(phase)
     sin_p = np.sin(phase)
-    decay = np.exp(-nu * (ls * ls).astype(_LD) * beta * beta * t_ld)
-    weight = (_LD(2) * ratios[1:] * decay)[:, None]
-    terms = weight * (cl * cos_p + sl * sin_p)
-    dterms = weight * (ls.astype(_LD) * beta)[:, None] * (-cl * sin_p + sl * cos_p)
-    # pairwise np.sum keeps the round-off growth logarithmic in l_trunc;
-    # near the minimum of psi the sum cancels down to ~e^{-2A} of the
-    # leading terms, so the summation order is what sets the noise floor
-    psi = _LD(1) + np.sum(terms, axis=0)
-    dpsi = np.sum(dterms, axis=0)
-    return psi, dpsi
+    shape = cl * cos_p + sl * sin_p
+    dshape = -cl * sin_p + sl * cos_p
+    rate = -nu * (ls * ls).astype(_LD) * beta * beta
+    for t in times:
+        decay = np.exp(rate * _LD(t))
+        weight = (_LD(2) * ratios[1:] * decay)[:, None]
+        # np.sum(axis=0) over the C-contiguous (l, x) product adds its rows
+        # one after another, sequentially in l; that order, and the grouping
+        # (weight * l beta) * dshape, fix the output bytes.  Near the minimum
+        # of psi the sum cancels down to ~e^{-2A} of the leading terms, so
+        # the order also sets the noise floor.
+        psi = _LD(1) + np.sum(weight * shape, axis=0)
+        dpsi = np.sum((weight * l_beta) * dshape, axis=0)
+        yield psi, dpsi
 
 
-def cole_hopf_density(x, t: float, cfg: AnalyticConfig):
+def cole_hopf_density(x, t, cfg: AnalyticConfig):
     """Density rho(x, t) of the analytic solution.
 
-    ``x`` may be a scalar or array of positions in [0, L_x); ``t`` is a
-    single time >= 0.  The log derivative of psi is evaluated
-    analytically (psi and d_x psi as separate sums), so no stencil error
-    enters the comparison baseline.  Raises :class:`TruncationError` if
-    the truncated psi is not strictly positive somewhere.
+    ``x`` is a 1-D array of positions in [0, L_x).  ``t`` is a time >= 0
+    or a 1-D sequence of them; for a sequence the result has shape
+    ``(len(t), len(x))`` and row k equals the call with ``t[k]`` bit for
+    bit, while the t-independent tables are built once per call.
+    The log derivative of psi is evaluated analytically (psi and d_x psi
+    as separate sums), so no stencil error enters the comparison
+    baseline.  Raises :class:`TruncationError` naming the first time at
+    which the truncated psi is not strictly positive somewhere.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    psi, dpsi = _psi_sums(x, t, cfg)
-    if np.any(psi <= 0.0):
-        raise TruncationError(
-            f"psi <= 0 at t={t} (min {float(np.min(psi))!r}): series truncation "
-            f"l_trunc={cfg.l_trunc} insufficient for A={cfg.amplitude:.6g}"
-        )
+    times = [t] if np.ndim(t) == 0 else list(t)
+    for tk in times:
+        if tk < 0.0:
+            raise ValueError(f"t must be >= 0, got {tk!r}")
     cs = cfg.c * cfg.alpha
-    w = _LD(cfg.w_bar) - _LD(2) * _LD(cfg.nu) * dpsi / psi
-    rho = _LD(1) - w / _LD(cs)
-    out = np.asarray(rho, dtype=float)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = np.empty((len(times), len(x)))
+    for k, (tk, (psi, dpsi)) in enumerate(zip(times, _psi_sums(x, times, cfg))):
+        if np.any(psi <= 0.0):
+            raise TruncationError(
+                f"psi <= 0 at t={tk} (min {float(np.min(psi))!r}): series truncation "
+                f"l_trunc={cfg.l_trunc} insufficient for A={cfg.amplitude:.6g}"
+            )
+        w = _LD(cfg.w_bar) - _LD(2) * _LD(cfg.nu) * dpsi / psi
+        out[k] = _LD(1) - w / _LD(cs)
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def evaluate_on_grid(cfg: AnalyticConfig, xs, ts) -> np.ndarray:
@@ -193,11 +206,7 @@ def evaluate_on_grid(cfg: AnalyticConfig, xs, ts) -> np.ndarray:
 
     Returns an array of shape ``(len(ts), len(xs))``.
     """
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty((len(ts), xs.size), dtype=float)
-    for k, t in enumerate(ts):
-        out[k] = cole_hopf_density(xs, float(t), cfg)
-    return out
+    return cole_hopf_density(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float), cfg)
 
 
 def residual_check(cfg: AnalyticConfig, h: float, times, n_probe: int = 33) -> float:

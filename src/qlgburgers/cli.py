@@ -43,7 +43,7 @@ _VSET = {
     "shifts": (list, None),
     "basis": (list, None),
 }
-_FDM = {"substeps": (object, "auto"), "c_s": (object, None), "nu": (object, None)}
+_FDM = {"substeps": (object, "auto")}
 # Sections shared by the commands that set up a cosine run on a grid.
 _SETUP_1D = {"grid": _GRID_1D, "collision": _COLLISION, "initial": _INITIAL}
 _SETUP_2D = {"grid": _GRID_2D, "collision": _COLLISION, "initial": _INITIAL, "velocity_set": _VSET}
@@ -70,7 +70,7 @@ SCHEMAS = {
         "run_id": (str, REQUIRED),
         **_SETUP_1D,
         **_SNAPSHOTS,
-        "fdm": _FDM,
+        "fdm": {**_FDM, "c_s": (object, None), "nu": (object, None)},
     },
     "fdm2d": {
         "model": (str, "fdm2d"),
@@ -129,7 +129,7 @@ SCHEMAS = {
         **_SETUP_2D,
         **_SNAPSHOTS,
         **_LATTICE,
-        "fdm": {"substeps": (object, "auto")},
+        "fdm": _FDM,
     },
 }
 
@@ -392,12 +392,15 @@ def _cmd_analytic(resolved, outdir, timings):
     cfg = _analytic_config(resolved, grid, params, resolved["analytic"]["nu_variant"])
     xs = grid.positions()
     # the state carried through the snapshot loop is the physical time
-    times = _snapshots(
-        0.0, lambda _, step: step * grid.dt, resolved["steps"], resolved["snapshot_stride"]
+    steps, times = zip(
+        *_snapshots(
+            0.0, lambda _, step: step * grid.dt, resolved["steps"], resolved["snapshot_stride"]
+        )
     )
     with _timed(timings, "evaluate"):
-        for step, t in times:
-            rho = cole_hopf_density(xs, t, cfg)
+        # one call for all times builds the t-independent series tables once
+        rhos = cole_hopf_density(xs, times, cfg)
+        for step, t, rho in zip(steps, times, rhos):
             write_density_snapshot_1d(
                 outdir / snapshot_filename(resolved["run_id"], step), xs, rho, t
             )
@@ -536,7 +539,7 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML configuration file")
-        p.add_argument("--out", default=None, help="output directory (default: config value or '.')")
+        p.add_argument("--out", default=None, help="output directory (default: '.')")
         p.add_argument(
             "--override",
             action="append",

@@ -7,8 +7,10 @@ and the 2D anisotropic form
 
 with explicit Euler in time and second-order central differences in
 space (the cross derivative uses the 4-point corner stencil), periodic
-boundaries.  The nonlinear term is discretized non-conservatively,
-exactly as the equation is written.
+boundaries.  Each update copies the field once into an array with one
+periodic ghost cell on every side (a halo) and reads all neighbours,
+corners included, as views of that copy.  The nonlinear term is
+discretized non-conservatively, exactly as the equation is written.
 
 The scheme is intentionally plain: near shock formation it is expected
 to go unstable, which mirrors the behaviour reported for the reference
@@ -53,6 +55,22 @@ def divergence_check(rho, rho_b: float, rho_a: float, step: int):
         )
 
 
+def _periodic_halo(rho: np.ndarray) -> np.ndarray:
+    """Copy of ``rho`` with one periodic ghost cell on both sides of every axis.
+
+    Axes are wrapped in order and each wrap copies whole padded slices,
+    ghost cells of the earlier axes included, so the corners receive the
+    diagonal periodic neighbours.
+    """
+    halo = np.empty(tuple(n + 2 for n in rho.shape), dtype=rho.dtype)
+    halo[(slice(1, -1),) * rho.ndim] = rho
+    for axis in range(rho.ndim):
+        lead = (slice(None),) * axis
+        halo[lead + (0,)] = halo[lead + (-2,)]
+        halo[lead + (-1,)] = halo[lead + (1,)]
+    return halo
+
+
 def fdm_step_1d(rho: np.ndarray, c_s: float, nu: float, dx: float, dt: float) -> np.ndarray:
     """One explicit Euler update of the 1D equation, periodic.
 
@@ -60,8 +78,8 @@ def fdm_step_1d(rho: np.ndarray, c_s: float, nu: float, dx: float, dt: float) ->
     axis-aligned coefficients, so a y-constant 2D run matches this
     update bitwise row by row.
     """
-    fwd = np.roll(rho, -1)
-    bwd = np.roll(rho, 1)
+    halo = _periodic_halo(rho)
+    fwd, bwd = halo[2:], halo[:-2]
     drho = (fwd - bwd) / (2.0 * dx)
     d2rho = (fwd - 2.0 * rho + bwd) / (dx * dx)
     advection = (1.0 - rho) * (c_s * drho)
@@ -75,18 +93,14 @@ def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float) -> np.ndarray:
     of ``rho`` is x, axis 1 is y.
     """
     a, b, d = coeffs.a, coeffs.b, coeffs.D
-    xf, xb = np.roll(rho, -1, axis=0), np.roll(rho, 1, axis=0)
-    yf, yb = np.roll(rho, -1, axis=1), np.roll(rho, 1, axis=1)
+    halo = _periodic_halo(rho)
+    xf, xb = halo[2:, 1:-1], halo[:-2, 1:-1]
+    yf, yb = halo[1:-1, 2:], halo[1:-1, :-2]
     rx = (xf - xb) / (2.0 * ds)
     ry = (yf - yb) / (2.0 * ds)
     rxx = (xf - 2.0 * rho + xb) / (ds * ds)
     ryy = (yf - 2.0 * rho + yb) / (ds * ds)
-    rxy = (
-        np.roll(rho, (-1, -1), axis=(0, 1))
-        - np.roll(rho, (-1, 1), axis=(0, 1))
-        - np.roll(rho, (1, -1), axis=(0, 1))
-        + np.roll(rho, (1, 1), axis=(0, 1))
-    ) / (4.0 * ds * ds)
+    rxy = (halo[2:, 2:] - halo[2:, :-2] - halo[:-2, 2:] + halo[:-2, :-2]) / (4.0 * ds * ds)
     advection = a[0] * rx + a[1] * ry + (1.0 - rho) * (b[0] * rx + b[1] * ry)
     diffusion = d[0, 0] * rxx + d[1, 1] * ryy + 2.0 * d[0, 1] * rxy
     return rho + dt * (-advection + diffusion)

@@ -1,5 +1,6 @@
 """Analytic-solution tests: Bessel ratios, Cole-Hopf field, residuals."""
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -157,6 +158,40 @@ class TestColeHopf:
         cfg = fig4_config()
         out = evaluate_on_grid(cfg, np.linspace(0, 2, 8, endpoint=False), [0.0, 0.01, 0.02])
         assert out.shape == (3, 8)
+
+
+class TestPinnedBytes:
+    # sha256 of the float64 bytes at fig4's sites; the summation order of
+    # the series sets the last bits, so any reordering shows here
+    DIGESTS = {
+        0.0: "7162e96c928cbf8cbef9407980b0ee619c8ccf34949e0e75e4d1a163aa36c97b",
+        0.0078125: "7788e7ccec1375e557ea1f893afa5ce48853ea9aef25feb166aa19e39f133f65",
+        0.1: "e0147d337c5e4a28f128c32011ff1bbfbd573fc3d6bd135da02a0b288f711763",
+        1.0: "af1ca005413a05bf73a4b7e3535fd6c20203d99225ced958160805dc18ad869f",
+    }
+
+    def test_fig4_bytes_pinned(self):
+        xs = FIG4_GRID.positions()
+        for t, digest in self.DIGESTS.items():
+            rho = cole_hopf_density(xs, t, fig4_config())
+            assert hashlib.sha256(rho.tobytes()).hexdigest() == digest
+
+    def test_time_vector_matches_scalar_calls(self):
+        xs = FIG4_GRID.positions()
+        cfg = fig4_config()
+        times = list(self.DIGESTS)
+        for ts in (times, np.array(times)):
+            out = cole_hopf_density(xs, ts, cfg)
+            assert out.shape == (len(times), xs.size)
+            for row, t in zip(out, times):
+                assert np.array_equal(row, cole_hopf_density(xs, t, cfg))
+        assert np.array_equal(evaluate_on_grid(cfg, xs, times), out)
+
+    def test_truncation_error_names_first_failing_time(self):
+        # with 3 terms psi first turns positive between t = 0.4 and 0.5
+        cfg = fig4_config(l_trunc=3)
+        with pytest.raises(TruncationError, match=r"at t=0\.3 .*l_trunc=3"):
+            evaluate_on_grid(cfg, FIG4_GRID.positions(), [1.0, 0.5, 0.3, 0.0])
 
 
 class TestResidual:

@@ -273,6 +273,30 @@ class TestOtherCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["divergence_step"] is not None
 
+    def test_fdm2d_rejects_1d_coefficient_keys(self, tmp_path, capsys):
+        # fdm.c_s and fdm.nu set the 1D solver only; fdm2d builds its
+        # coefficients from the velocity set and must not ignore them silently
+        for key in ("fdm.nu=5.0", "fdm.c_s=100.0"):
+            rc = main(
+                [
+                    "fdm2d",
+                    "--config",
+                    str(CONFIGS / "fig9.yaml"),
+                    "--out",
+                    str(tmp_path / "out"),
+                    "--override",
+                    "model=fdm2d",
+                    "--override",
+                    "steps=8",
+                    "--override",
+                    key,
+                ]
+            )
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert f"unknown config key '{key.partition('=')[0]}'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_viscosity_sweep_csv(self, tmp_path):
         cfg = {
             "model": "viscosity-sweep",

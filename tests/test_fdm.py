@@ -107,6 +107,64 @@ class TestStencils:
         assert float(np.sum(rho)) == pytest.approx(mass0, abs=1e-10)
 
 
+def roll_step_1d(rho, c_s, nu, dx, dt):
+    """Reference 1D update reading neighbours through np.roll."""
+    fwd = np.roll(rho, -1)
+    bwd = np.roll(rho, 1)
+    drho = (fwd - bwd) / (2.0 * dx)
+    d2rho = (fwd - 2.0 * rho + bwd) / (dx * dx)
+    advection = (1.0 - rho) * (c_s * drho)
+    return rho + dt * (-advection + nu * d2rho)
+
+
+def roll_step_2d(rho, coeffs, ds, dt):
+    """Reference 2D update reading neighbours through np.roll."""
+    a, b, d = coeffs.a, coeffs.b, coeffs.D
+    xf, xb = np.roll(rho, -1, axis=0), np.roll(rho, 1, axis=0)
+    yf, yb = np.roll(rho, -1, axis=1), np.roll(rho, 1, axis=1)
+    rx = (xf - xb) / (2.0 * ds)
+    ry = (yf - yb) / (2.0 * ds)
+    rxx = (xf - 2.0 * rho + xb) / (ds * ds)
+    ryy = (yf - 2.0 * rho + yb) / (ds * ds)
+    rxy = (
+        np.roll(rho, (-1, -1), axis=(0, 1))
+        - np.roll(rho, (-1, 1), axis=(0, 1))
+        - np.roll(rho, (1, -1), axis=(0, 1))
+        + np.roll(rho, (1, 1), axis=(0, 1))
+    ) / (4.0 * ds * ds)
+    advection = a[0] * rx + a[1] * ry + (1.0 - rho) * (b[0] * rx + b[1] * ry)
+    diffusion = d[0, 0] * rxx + d[1, 1] * ryy + 2.0 * d[0, 1] * rxy
+    return rho + dt * (-advection + diffusion)
+
+
+class TestNeighbourReads:
+    # the solver's neighbour reads must give the np.roll stencil bit for bit,
+    # including axes of one and two cells, where both neighbours coincide
+    COEFFS = PdeCoefficients2D(
+        a=np.array([0.3, -0.2]),
+        b=np.array([0.5, 0.7]),
+        D=np.array([[0.11, 0.03], [0.03, 0.07]]),
+    )
+
+    @pytest.mark.parametrize("shape", [(5, 7), (1, 7), (5, 1), (2, 7), (5, 2), (1, 2)])
+    def test_2d_matches_roll_reference(self, shape):
+        rng = np.random.default_rng(5)
+        rho = ref = rng.uniform(0.6, 1.4, shape)
+        for _ in range(6):
+            rho = fdm_step_2d(rho, self.COEFFS, ds=0.9, dt=0.3)
+            ref = roll_step_2d(ref, self.COEFFS, ds=0.9, dt=0.3)
+            assert np.array_equal(rho, ref)
+
+    @pytest.mark.parametrize("n", [5, 1, 2])
+    def test_1d_matches_roll_reference(self, n):
+        rng = np.random.default_rng(6)
+        rho = ref = rng.uniform(0.6, 1.4, n)
+        for _ in range(6):
+            rho = fdm_step_1d(rho, c_s=0.8, nu=0.05, dx=0.9, dt=0.3)
+            ref = roll_step_1d(ref, c_s=0.8, nu=0.05, dx=0.9, dt=0.3)
+            assert np.array_equal(rho, ref)
+
+
 class TestConvergence:
     def test_second_order_against_cole_hopf(self):
         # fixed physical problem (c_s, nu from the 64-site setup), FDM on
