@@ -8,12 +8,14 @@ maps to Burgers' equation for w = c_s (1 - rho).  With the periodic
 cosine initial density the Cole-Hopf transform turns it into a heat
 problem whose solution is a modified-Bessel series:
 
-    psi(x, t) = I_0(A) + 2 sum_{l>=1} I_l(A) exp(-nu l^2 beta^2 t) F_l(x)
-    F_l(x)    = cos(l pi / 2) cos(l beta x) + sin(l pi / 2) sin(l beta x)
-    w(x, t)   = w_bar - 2 nu d_x ln psi,      rho = 1 - w / (c alpha)
+    psi(y, t) = I_0(A) + 2 sum_{l>=1} I_l(A) exp(-nu l^2 beta^2 t) F_l(y)
+    F_l(y)    = cos(l pi / 2) cos(l beta y) + sin(l pi / 2) sin(l beta y)
+    w(x, t)   = w_bar - 2 nu d_y ln psi(y, t),   y = x - w_bar t,
+    rho       = 1 - w / (c alpha)
 
 with beta = 2 pi / L_x, A = c alpha rho_a / (2 nu beta) and
-w_bar = c alpha (1 - rho_b).
+w_bar = c alpha (1 - rho_b): the perturbation around the mean w_bar
+solves Burgers' equation in the frame moving with w_bar.
 
 Bessel functions enter only through the ratios I_l(A)/I_0(A), computed
 by normalized backward recurrence; the unscaled I_l(A) ~ e^A / sqrt(A)
@@ -133,8 +135,9 @@ def bessel_ratio(l: int, a: float) -> float:
 def _psi_sums(x, times, cfg: AnalyticConfig):
     """Yield (psi, d_x psi) at each of ``times``, normalized by I_0(A), in extended precision.
 
-    ``x`` is a 1-D array.  The Bessel ratios and the (l, x) phase tables do
-    not depend on t, so they are built once for all times.
+    ``x`` is a 1-D array; psi is evaluated at x - w_bar t.  The Bessel
+    ratios do not depend on t, and neither do the (l, x) phase tables when
+    w_bar is 0 (rho_b = 1): then they are built once for all times.
     """
     x = np.asarray(x, dtype=_LD)
     amp = cfg.amplitude
@@ -153,13 +156,19 @@ def _psi_sums(x, times, cfg: AnalyticConfig):
     cl = np.array([_COS_HALF_PI[l % 4] for l in ls], dtype=_LD)[:, None]
     sl = np.array([_SIN_HALF_PI[l % 4] for l in ls], dtype=_LD)[:, None]
     l_beta = (ls.astype(_LD) * beta)[:, None]
-    phase = l_beta * x[None, :]
-    cos_p = np.cos(phase)
-    sin_p = np.sin(phase)
-    shape = cl * cos_p + sl * sin_p
-    dshape = -cl * sin_p + sl * cos_p
+
+    def shapes(y):
+        phase = l_beta * y[None, :]
+        cos_p = np.cos(phase)
+        sin_p = np.sin(phase)
+        return cl * cos_p + sl * sin_p, -cl * sin_p + sl * cos_p
+
+    w_bar = _LD(cfg.w_bar)
+    if w_bar == 0.0:
+        fixed = shapes(x)
     rate = -nu * (ls * ls).astype(_LD) * beta * beta
     for t in times:
+        shape, dshape = fixed if w_bar == 0.0 else shapes(x - w_bar * _LD(t))
         decay = np.exp(rate * _LD(t))
         weight = (_LD(2) * ratios[1:] * decay)[:, None]
         # np.sum(axis=0) over the C-contiguous (l, x) product adds its rows

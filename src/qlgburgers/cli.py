@@ -6,8 +6,10 @@ artifacts plus a ``manifest.json`` with the fully resolved config,
 package version and stage timings into the output directory.
 
 Exit codes: 0 success, 1 configuration/validation error (the message
-names the offending key), 2 runtime divergence of the reference solver
-(the divergence step is recorded in the manifest).
+names the offending key; an analytic series too short for its Bessel
+argument counts as one, naming ``analytic.l_trunc``), 2 runtime
+divergence of the reference solver (the divergence step is recorded in
+the manifest).
 """
 
 from __future__ import annotations
@@ -141,6 +143,16 @@ _CHOICES = {
     "sweep.variant": ("pde_consistent", "literal"),
 }
 
+# Smallest value of an integer key, or of each entry of a list key;
+# fdm.substeps may also be 'auto'.
+_MINIMA = {
+    "steps": 0,
+    "snapshot_stride": 1,
+    "fdm.substeps": 1,
+    "steepness.T_values": 0,
+    "steepness.n_x_values": 2,
+}
+
 
 def _resolve(cfg, schema, path=""):
     if not isinstance(cfg, dict):
@@ -176,7 +188,23 @@ def _resolve(cfg, schema, path=""):
     return out
 
 
+def _check_minimum(where, value):
+    if where == "fdm.substeps" and value in (None, "auto"):
+        return
+    entries = value if isinstance(value, list) else [value]
+    if not entries or any(
+        isinstance(v, bool) or not isinstance(v, int) or v < _MINIMA[where] for v in entries
+    ):
+        kind = "a non-empty list of integers" if isinstance(value, list) else "an integer"
+        also = " or 'auto'" if where == "fdm.substeps" else ""
+        raise ConfigError(
+            f"config key '{where}' must be {kind} >= {_MINIMA[where]}{also}, got {value!r}"
+        )
+
+
 def _check_choices(resolved):
+    """Check the enum keys against their choices and the bounded keys against their minima."""
+
     def walk(d, path=""):
         for k, v in d.items():
             where = f"{path}.{k}" if path else k
@@ -186,6 +214,8 @@ def _check_choices(resolved):
                 raise ConfigError(
                     f"config key '{where}' must be one of {_CHOICES[where]}, got {v!r}"
                 )
+            elif where in _MINIMA:
+                _check_minimum(where, v)
 
     walk(resolved)
 
@@ -247,7 +277,7 @@ def _build_setup(resolved):
     try:
         params = CollisionParams(theta=col["theta"], zeta=col["zeta"], xi=col["xi"])
     except ValueError as exc:
-        raise ConfigError(f"config key 'collision.theta' invalid: {exc}") from exc
+        raise ConfigError(f"config key 'collision' invalid: {exc}") from exc
     vset = _build_vset(resolved["velocity_set"]) if "velocity_set" in resolved else None
     return grid, params, vset
 
@@ -560,6 +590,7 @@ def main(argv=None) -> int:
         return 1
 
     from . import __version__
+    from .analytic import TruncationError
     from .fdm import FdmDivergenceError
     from .io import write_manifest
 
@@ -587,6 +618,9 @@ def main(argv=None) -> int:
             extra = _COMMANDS[args.command](resolved, outdir, timings) or {}
     except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except TruncationError as exc:
+        print(f"config error: config key 'analytic.l_trunc' too small: {exc}", file=sys.stderr)
         return 1
     except FdmDivergenceError as exc:
         extra = {"divergence_step": exc.step, "error": str(exc)}

@@ -9,7 +9,10 @@ form, ``(f0 - omega, f1 + omega)``, with a single scalar collision term
 ``omega``.  Both paths are implemented and kept equivalent to 1e-12.
 
 All functions are pure, accept scalars or numpy arrays for the
-population arguments, and never mutate their inputs.
+population arguments, and never mutate their inputs.  :func:`omega` and
+:func:`collide_closed_form` also take a sequence of parameter sets, one
+per leading row of the populations, so a sweep collides every angle in
+one call with each row's arithmetic unchanged.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class CollisionParams:
     ``(0, pi/2]``: at theta -> 0 the derived advection speed diverges
     (alpha ~ 1/sin(theta)), so that endpoint is rejected.  ``zeta`` and
     ``xi`` are free phases; all observable quantities depend on them
-    only through ``cos(zeta - xi)``.
+    only through ``cos(zeta - xi)``, so ``zeta - xi`` must be finite.
     """
 
     theta: float
@@ -75,6 +78,8 @@ class CollisionParams:
                 f"theta must lie in (0, pi/2], got {self.theta!r}; "
                 "alpha = cot(theta) cos(zeta - xi) diverges at theta = 0"
             )
+        if not math.isfinite(self.zeta - self.xi):
+            raise ValueError(f"zeta - xi must be finite, got {self.zeta!r} - {self.xi!r}")
 
     def alpha(self) -> float:
         """Advection parameter cot(theta) * cos(zeta - xi)."""
@@ -175,8 +180,11 @@ def measure_populations(state) -> tuple:
 def collide_quantum(f0, f1, params: CollisionParams) -> tuple:
     """Collision via the explicit quantum path: prepare, apply U, measure.
 
-    Mass is conserved per cell: f0' + f1' = f0 + f1 to 1e-12.
+    Mass is conserved per cell: f0' + f1' = f0 + f1 to 1e-12.  Takes one
+    parameter set; a sequence of them raises ``ValueError``.
     """
+    if not isinstance(params, CollisionParams):
+        raise ValueError("the quantum collision path takes one CollisionParams, not a sequence")
     u = build_collision_unitary(params)
     psi = prepare_cell(f0, f1)
     psi = psi @ u.T
@@ -186,32 +194,56 @@ def collide_quantum(f0, f1, params: CollisionParams) -> tuple:
     return g0, g1
 
 
-def omega(f0, f1, params: CollisionParams):
+def _angle_terms(params, shape):
+    """sin^2(theta) and sin(2 theta) cos(zeta - xi) of ``params``.
+
+    For a sequence of B parameter sets each term is a float64 column of
+    shape (B, 1, ...) that broadcasts against populations of ``shape``,
+    one set per leading row.  Every entry is computed with ``math.*`` as
+    for a single set: numpy's vector sine can differ in the last bit.
+    """
+    if isinstance(params, CollisionParams):
+        th = params.theta
+        return math.sin(th) ** 2, math.sin(2.0 * th) * math.cos(params.zeta - params.xi)
+    terms = np.array([_angle_terms(p, ()) for p in params], dtype=float).reshape(-1, 2)
+    if shape[:1] != (len(terms),) or not terms.size:
+        raise ValueError(
+            f"{len(terms)} parameter sets need populations with one leading row each, "
+            f"got shape {shape}"
+        )
+    column = (len(terms),) + (1,) * (len(shape) - 1)
+    return terms[:, 0].reshape(column), terms[:, 1].reshape(column)
+
+
+def omega(f0, f1, params):
     """Scalar collision term.
 
     omega = (f0 - f1) sin^2(theta)
             + sin(2 theta) cos(zeta - xi) sqrt(f0 (1-f0) f1 (1-f1)),
 
-    applied as f0 -> f0 - omega, f1 -> f1 + omega.
+    applied as f0 -> f0 - omega, f1 -> f1 + omega.  ``params`` is one
+    :class:`CollisionParams` or a sequence of B of them, one per leading
+    row of populations of shape (B, ...); every row then equals the call
+    with its own parameter set bit for bit.
     """
     _check_populations(f0, f1)
     f0 = _clip01(np.asarray(f0, dtype=float))
     f1 = _clip01(np.asarray(f1, dtype=float))
-    th = params.theta
-    s2 = math.sin(th) ** 2
-    cross = math.sin(2.0 * th) * math.cos(params.zeta - params.xi)
+    s2, cross = _angle_terms(params, f0.shape)
     out = (f0 - f1) * s2 + cross * np.sqrt(f0 * (1.0 - f0) * f1 * (1.0 - f1))
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def collide_closed_form(f0, f1, params: CollisionParams) -> tuple:
+def collide_closed_form(f0, f1, params) -> tuple:
     """Collision via the closed form (f0 - omega, f1 + omega).
 
     Equivalent to :func:`collide_quantum` to 1e-12 but roughly an order
-    of magnitude cheaper.  Post-collision populations are checked
-    against [0, 1]; an excursion beyond round-off tolerance raises
+    of magnitude cheaper.  ``params`` is one :class:`CollisionParams` or
+    a sequence of them, one per leading row, as in :func:`omega`.
+    Post-collision populations are checked against [0, 1], on every row;
+    an excursion beyond round-off tolerance raises
     :class:`PopulationRangeError` instead of being clamped, since it
     signals inconsistent inputs rather than physics.
     """

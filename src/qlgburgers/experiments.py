@@ -12,6 +12,7 @@ of the same configuration are bitwise identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,20 +55,31 @@ __all__ = [
 
 DENOMINATOR_GUARD = 1e-12
 
+# Bytes of the density traces one batch of a viscosity sweep holds.  All 30
+# angles of a 200-step sweep on 64 sites fit in one batch, and 3 angles of a
+# 2000-step one; one batch of every angle of a long sweep raises peak RSS by
+# several MB.
+_SWEEP_BATCH_BYTES = 4_000_000
+
+# Snapshots per block over which a steepness sweep takes its running maximum.
+_STEEPNESS_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class DensityTrace:
-    """Time-indexed density snapshots of one run.
+    """Time-indexed density snapshots of one run, or of a batch of 1D runs.
 
     ``rho`` has shape (n_snapshots, n_x) in 1D or (n_snapshots, n_x,
     n_y) in 2D; ``steps`` holds the lattice step index of each
-    snapshot, with a uniform stride.
+    snapshot, with a uniform stride.  A batch of B 1D runs has ``rho``
+    of shape (n_snapshots, B, n_x) and a tuple of B parameter sets as
+    ``params``; :meth:`runs` splits it into one trace per run.
     """
 
     rho: np.ndarray
     steps: np.ndarray
     grid: object
-    params: CollisionParams | None = None
+    params: CollisionParams | tuple | None = None
 
     def __post_init__(self):
         if len(self.steps) != self.rho.shape[0]:
@@ -85,7 +97,16 @@ class DensityTrace:
 
     @property
     def is_1d(self) -> bool:
-        return self.rho.ndim == 2
+        return isinstance(self.grid, Grid1D)
+
+    def runs(self) -> list:
+        """One trace per run: views of the rows of a batch, or ``[self]``."""
+        if not isinstance(self.params, tuple):
+            return [self]
+        return [
+            DensityTrace(rho=self.rho[:, k], steps=self.steps, grid=self.grid, params=p)
+            for k, p in enumerate(self.params)
+        ]
 
     def times(self) -> np.ndarray:
         return np.asarray(self.steps, dtype=float) * self.grid.dt
@@ -131,6 +152,13 @@ class SweepRow:
     error: str = ""
 
 
+def _snapshot_count(steps: int, stride: int) -> int:
+    """Number of snapshots of a run: step 0 and every stride-th step up to ``steps``."""
+    if steps < 0 or stride < 1:
+        raise ValueError(f"need steps >= 0 and snapshot stride >= 1, got {steps} and {stride}")
+    return steps // stride + 1
+
+
 def _snapshots(state, advance, steps: int, stride: int):
     """Yield (step, state) at step 0 and every stride-th step; ``advance(state, t)`` makes step t.
 
@@ -144,7 +172,10 @@ def _snapshots(state, advance, steps: int, stride: int):
 
 
 def _qlg_snapshots(grid, params, vset, rho_b, rho_a, steps, stride, collision, reversed_streaming, init):
-    """Lattice-gas field snapshots from the cosine start; ``vset`` None selects 1D."""
+    """Lattice-gas field snapshots from the cosine start; ``vset`` None selects 1D.
+
+    In 1D ``params`` may be a sequence of parameter sets, which steps one (B, n_x) batch.
+    """
     kwargs = {"collision": collision, "reversed_streaming": reversed_streaming}
     if vset is None:
         fld = init_cosine_1d(grid, rho_b, rho_a, params, init=init)
@@ -153,19 +184,23 @@ def _qlg_snapshots(grid, params, vset, rho_b, rho_a, steps, stride, collision, r
     return _snapshots(fld, lambda f, t: step_2d(f, params, vset, **kwargs), steps, stride)
 
 
-def _trace(snapshots, grid, params=None) -> tuple:
-    """Stack (step, rho) snapshots into a trace; returns (trace, divergence_step).
+def _trace(snapshots, n_snapshots, grid, params=None) -> tuple:
+    """Copy (step, rho) snapshots into one preallocated trace; returns (trace, divergence_step).
 
     A reference-solver divergence ends the trace after the last healthy snapshot.
     """
-    rhos, recorded, div_step = [], [], None
+    rho, recorded, div_step = None, [], None
     try:
-        for t, rho in snapshots:
-            rhos.append(rho)
+        for t, snap in snapshots:
+            if rho is None:
+                rho = np.empty((n_snapshots,) + snap.shape, dtype=snap.dtype)
+            rho[len(recorded)] = snap
             recorded.append(t)
     except FdmDivergenceError as exc:
         div_step = exc.step
-    trace = DensityTrace(rho=np.stack(rhos), steps=np.asarray(recorded), grid=grid, params=params)
+    trace = DensityTrace(
+        rho=rho[: len(recorded)], steps=np.asarray(recorded), grid=grid, params=params
+    )
     return trace, div_step
 
 
@@ -174,6 +209,8 @@ def _fdm_trace(grid, rho_b, rho_a, steps, stride, substeps, update) -> tuple:
 
     Each lattice step is ``substeps`` calls of ``update(rho, dt_sub)``, then the divergence check.
     """
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
     dt_sub = grid.dt / substeps
 
     def advance(rho, t):
@@ -182,7 +219,8 @@ def _fdm_trace(grid, rho_b, rho_a, steps, stride, substeps, update) -> tuple:
         divergence_check(rho, rho_b, rho_a, t)
         return rho
 
-    return _trace(_snapshots(_cosine_density(grid, rho_b, rho_a), advance, steps, stride), grid)
+    snaps = _snapshots(_cosine_density(grid, rho_b, rho_a), advance, steps, stride)
+    return _trace(snaps, _snapshot_count(steps, stride), grid)
 
 
 def run_qlg_1d(
@@ -196,11 +234,21 @@ def run_qlg_1d(
     reversed_streaming: bool = False,
     init: str = "equilibrium",
 ) -> DensityTrace:
-    """Run the 1D lattice gas and record density snapshots."""
+    """Run the 1D lattice gas and record density snapshots.
+
+    ``params`` is one :class:`CollisionParams`, or a sequence of B of them:
+    then one run steps all B lattices as a (B, n_x) batch, the trace has
+    ``rho`` of shape (n_snapshots, B, n_x) and ``params`` as a tuple, and
+    row k equals the run with ``params[k]`` alone bit for bit.  The
+    quantum collision path takes one parameter set only.
+    """
+    if not isinstance(params, CollisionParams):
+        params = tuple(params)
     snaps = _qlg_snapshots(
         grid, params, None, rho_b, rho_a, steps, stride, collision, reversed_streaming, init
     )
-    return _trace(((t, density(fld)) for t, fld in snaps), grid, params)[0]
+    snaps = ((t, density(fld)) for t, fld in snaps)
+    return _trace(snaps, _snapshot_count(steps, stride), grid, params)[0]
 
 
 def run_qlg_2d(
@@ -219,7 +267,8 @@ def run_qlg_2d(
     snaps = _qlg_snapshots(
         grid, params, vset, rho_b, rho_a, steps, stride, collision, reversed_streaming, init
     )
-    return _trace(((t, density(fld)) for t, fld in snaps), grid, params)[0]
+    snaps = ((t, density(fld)) for t, fld in snaps)
+    return _trace(snaps, _snapshot_count(steps, stride), grid, params)[0]
 
 
 def run_fdm_1d(
@@ -264,6 +313,13 @@ def run_fdm_2d(
     return _fdm_trace(grid, rho_b, rho_a, steps, stride, int(substeps), update)
 
 
+def _check_one_1d_run(trace: DensityTrace, name: str) -> None:
+    if not trace.is_1d:
+        raise ValueError(f"{name} requires a 1D trace")
+    if trace.rho.ndim != 2:
+        raise ValueError(f"{name} takes the trace of one run; split a batch with trace.runs()")
+
+
 def experimental_viscosity(
     trace: DensityTrace,
     params: CollisionParams | None = None,
@@ -293,8 +349,7 @@ def experimental_viscosity(
     for the sign-discrepancy study.  The result is converted to grid
     units via dx^2/dt.
     """
-    if not trace.is_1d:
-        raise ValueError("experimental_viscosity requires a 1D trace")
+    _check_one_1d_run(trace, "experimental_viscosity")
     if trace.rho.shape[0] < 2:
         raise ValueError("trace too short: need at least 2 consecutive snapshots")
     if trace.stride != 1:
@@ -363,8 +418,7 @@ def shock_steepness(trace: DensityTrace, params: CollisionParams | None = None) 
     w~ = w / alpha = c (1 - rho), so Delta = c * max |rho(x+1) - rho(x)|
     over the whole trace.
     """
-    if not trace.is_1d:
-        raise ValueError("shock_steepness requires a 1D trace")
+    _check_one_1d_run(trace, "shock_steepness")
     jump = float(np.max(np.abs(np.roll(trace.rho, -1, axis=1) - trace.rho)))
     return trace.grid.c * jump
 
@@ -431,8 +485,7 @@ def mse_compare(trace: DensityTrace, cfg: AnalyticConfig) -> MetricSeries:
     The analytic density is sampled at the lattice sites and snapshot
     times of the trace.
     """
-    if not trace.is_1d:
-        raise ValueError("mse_compare requires a 1D trace")
+    _check_one_1d_run(trace, "mse_compare")
     if abs(cfg.length_x - trace.grid.length_x) > 1e-12 * cfg.length_x:
         raise ValueError(
             f"grid mismatch: analytic L_x={cfg.length_x}, trace L_x={trace.grid.length_x}"
@@ -465,6 +518,11 @@ def l2_compare_2d(qlg: DensityTrace, fdm: DensityTrace, rho_b: float) -> MetricS
     return MetricSeries(steps=qlg.steps[:n].copy(), values=values)
 
 
+def _failed_row(theta: float, steps: int, exc: Exception) -> SweepRow:
+    nan = float("nan")
+    return SweepRow(theta, nan, nan, None, 0.0, steps, error=str(exc))
+
+
 def viscosity_sweep(
     thetas,
     steps: int,
@@ -481,39 +539,43 @@ def viscosity_sweep(
     apply :func:`experimental_viscosity`, and emit one row with the
     predicted viscosities recomputed from the angles.  Per-theta
     failures are recorded in the row and the sweep continues.
+
+    The angles with valid parameters run in batches, one (B, n_x) lattice
+    run per batch of B angles whose traces fit in ``_SWEEP_BATCH_BYTES``;
+    the estimator then runs on each angle's rows alone.  A batch that
+    fails is rerun one angle at a time, so every row, error text included,
+    is the one a run of its angle alone gives.
     """
     grid = Grid1D(n_x=n_x, length_x=float(n_x))
-    rows = []
-    for theta in thetas:
-        theta = float(theta)
+    thetas = [float(theta) for theta in thetas]
+    rows = {}
+    runs = []  # (row index, params, predicted coefficients) of each valid angle
+    for i, theta in enumerate(thetas):
         try:
             params = CollisionParams(theta=theta, zeta=zeta, xi=xi)
-            coeffs = predicted_coefficients_1d(params, grid.dx, grid.dt)
-            trace = run_qlg_1d(grid, params, rho_b, rho_a, steps, stride=1)
-            est = experimental_viscosity(trace, params, variant=variant)
-            rows.append(
-                SweepRow(
-                    theta=theta,
-                    nu_pred=coeffs.nu,
-                    nu_yepez=coeffs.nu_yepez,
-                    nu_exp=est.value,
-                    kept_fraction=est.kept_fraction,
-                    T=steps,
-                )
-            )
+            runs.append((i, params, predicted_coefficients_1d(params, grid.dx, grid.dt)))
         except (ValueError, ArithmeticError) as exc:
-            rows.append(
-                SweepRow(
-                    theta=theta,
-                    nu_pred=float("nan"),
-                    nu_yepez=float("nan"),
-                    nu_exp=None,
-                    kept_fraction=0.0,
-                    T=steps,
-                    error=str(exc),
-                )
-            )
-    return rows
+            rows[i] = _failed_row(theta, steps, exc)
+
+    def run(batch):
+        params = [p for _, p, _ in batch]
+        try:
+            trace = run_qlg_1d(grid, params if len(batch) > 1 else params[0], rho_b, rho_a, steps)
+            for (i, p, coeffs), one in zip(batch, trace.runs()):
+                est = experimental_viscosity(one, p, variant=variant)
+                nu = (coeffs.nu, coeffs.nu_yepez)
+                rows[i] = SweepRow(p.theta, *nu, est.value, est.kept_fraction, steps)
+        except (ValueError, ArithmeticError) as exc:
+            if len(batch) == 1:
+                rows[batch[0][0]] = _failed_row(batch[0][1].theta, steps, exc)
+            else:
+                for item in batch:
+                    run([item])
+
+    per_batch = max(1, _SWEEP_BATCH_BYTES // (8 * n_x * (max(steps, 0) + 1)))
+    for start in range(0, len(runs), per_batch):
+        run(runs[start : start + per_batch])
+    return [rows[i] for i in range(len(thetas))]
 
 
 def steepness_sweep(
@@ -529,25 +591,44 @@ def steepness_sweep(
     """Shock steepness over (theta, T, N_x) combinations.
 
     Returns rows of dicts with keys theta, n_x, T, delta.
+
+    All angles of one N_x step together as one (B, n_x) batch for
+    max(T) steps, and no trace is kept: :func:`shock_steepness` runs on
+    each angle's rows of blocks of at most ``_STEEPNESS_BLOCK`` snapshots,
+    with a block ending at every T, and a running maximum per angle gives
+    each row.  That equals the steepness of the whole trace up to T bit
+    for bit: the maximum is exact in any order, and rounding c * jump is
+    monotone in the jump.
     """
+    thetas = [float(theta) for theta in thetas]
+    if not len(steps_list) or any(int(T) != T or T < 0 for T in steps_list):
+        raise ValueError(f"steps_list must hold integer step counts >= 0, got {steps_list!r}")
+    if not thetas:
+        return []
+    longest = int(max(steps_list))
     rows = []
     for n_x in n_x_list:
         grid = Grid1D(n_x=int(n_x), length_x=length_x)
-        for theta in thetas:
-            params = CollisionParams(theta=float(theta), zeta=zeta, xi=xi)
-            longest = max(steps_list)
-            trace = run_qlg_1d(grid, params, rho_b, rho_a, longest, stride=1)
+        params = tuple(CollisionParams(theta=theta, zeta=zeta, xi=xi) for theta in thetas)
+        snaps = _qlg_snapshots(
+            grid, params, None, rho_b, rho_a, longest, 1, "closed_form", False, "equilibrium"
+        )
+        block = np.empty((_STEEPNESS_BLOCK, len(params), grid.n_x))
+        first = 0  # step of the block's first snapshot
+        running = [-math.inf] * len(params)
+        delta_at = {}  # T -> delta of every angle over steps 0..T
+        for t, fld in snaps:
+            block[t - first] = density(fld)
+            if t - first + 1 < _STEEPNESS_BLOCK and t not in steps_list:
+                continue
+            recorded = np.arange(first, t + 1)
+            for k, p in enumerate(params):
+                sub = DensityTrace(block[: t - first + 1, k], recorded, grid, params=p)
+                running[k] = max(running[k], shock_steepness(sub))
+            delta_at[t] = list(running)
+            first = t + 1
+        for k, theta in enumerate(thetas):
             for t_steps in steps_list:
-                upto = trace.rho[: t_steps + 1]
-                sub = DensityTrace(
-                    rho=upto, steps=trace.steps[: t_steps + 1], grid=grid, params=params
-                )
-                rows.append(
-                    {
-                        "theta": float(theta),
-                        "n_x": int(n_x),
-                        "T": int(t_steps),
-                        "delta": shock_steepness(sub),
-                    }
-                )
+                delta = delta_at[t_steps][k]
+                rows.append({"theta": theta, "n_x": int(n_x), "T": int(t_steps), "delta": delta})
     return rows

@@ -11,6 +11,10 @@ finite-difference form with the opposite sign can be selected with
 
 Everything is deterministic: measurement is an expectation value, so
 repeated runs are bitwise identical.
+
+A 1D field may carry a leading batch axis, shape (B, n_x), with one
+:class:`CollisionParams` per row: one step then advances B independent
+lattices, each row bit for bit as it would run alone.
 """
 
 from __future__ import annotations
@@ -125,6 +129,8 @@ class VelocitySet2D:
         for s in self.shifts:
             if any(int(v) != v for v in s):
                 raise ValueError(f"streaming shifts must be integers, got {self.shifts!r}")
+        if tuple(self.shifts[0]) == tuple(self.shifts[1]):
+            raise ValueError(f"the two streaming shifts must differ, got {self.shifts!r}")
         e = np.asarray(self.basis, dtype=float)
         if e.shape != (2, 2):
             raise ValueError(f"basis must be two 2D vectors, got {self.basis!r}")
@@ -187,13 +193,13 @@ class PdeCoefficients2D:
 
 @dataclass(frozen=True)
 class PopulationField1D:
-    f0: np.ndarray
+    f0: np.ndarray  # shape (n_x,), or (B, n_x) for a batch of B lattices
     f1: np.ndarray
     grid: Grid1D
     t: int = 0
 
     def __post_init__(self):
-        if self.f0.shape != (self.grid.n_x,) or self.f1.shape != (self.grid.n_x,):
+        if self.f0.shape[-1:] != (self.grid.n_x,) or self.f1.shape != self.f0.shape:
             raise ValueError(
                 f"field shape {self.f0.shape}/{self.f1.shape} does not match grid n_x={self.grid.n_x}"
             )
@@ -241,10 +247,20 @@ def _cosine_pairs(grid, rho_b, rho_a, params, init):
         raise ValueError(f"initial density range [{rho_b - spread}, {rho_b + spread}] leaves [0, 2]")
     rho = _cosine_density(grid, rho_b, rho_a)
     if init == "equilibrium":
-        return equilibrium(rho, params)
+        return _per_row(params, lambda p: equilibrium(rho, p))
     if init == "symmetric":
-        return rho / 2.0, rho / 2.0
+        return _per_row(params, lambda p: (rho / 2.0, rho / 2.0))
     raise ValueError(f"init must be 'equilibrium' or 'symmetric', got {init!r}")
+
+
+def _per_row(params, pair_of):
+    """``pair_of(params)``, or for a sequence of parameter sets their pairs stacked as rows."""
+    if isinstance(params, CollisionParams):
+        return pair_of(params)
+    pairs = [pair_of(p) for p in params]
+    if not pairs:
+        raise ValueError("the sequence of collision parameters is empty")
+    return np.stack([f0 for f0, _ in pairs]), np.stack([f1 for _, f1 in pairs])
 
 
 def init_cosine_1d(
@@ -254,7 +270,8 @@ def init_cosine_1d(
 
     Site pairs are set to the equilibrium of the local density (so the
     hydrodynamic assumptions hold from t = 0) unless ``init`` selects
-    the symmetric split (rho/2, rho/2).
+    the symmetric split (rho/2, rho/2).  A sequence of B parameter sets
+    gives a (B, n_x) batch with row k initialised for ``params[k]``.
     """
     f0, f1 = _cosine_pairs(grid, rho_b, rho_a, params, init)
     return PopulationField1D(f0=f0, f1=f1, grid=grid, t=0)
@@ -277,21 +294,29 @@ def _collide(fld, params, path):
             return collide_quantum(fld.f0, fld.f1, params)
     except PopulationRangeError as exc:
         site = exc.index
-        axes = "x"
-        if fld.f0.ndim == 2:
-            axes = "(i, j)"
-            if site is not None:
-                site = tuple(int(c) for c in np.unravel_index(site, fld.f0.shape))
+        if site is not None and fld.f0.ndim == 2:
+            site = tuple(int(c) for c in np.unravel_index(site, fld.f0.shape))
+        if isinstance(fld.grid, Grid2D):
+            where = f"site (i, j)={site}"
+        elif fld.f0.ndim == 2 and site is not None:
+            row, x = site
+            theta = (params if isinstance(params, CollisionParams) else params[row]).theta
+            where = f"theta row {row} (theta={theta!r}), site x={x}"
+        else:
+            where = f"site x={site}"
         raise PopulationRangeError(
-            f"collision failed at t={fld.t}, site {axes}={site}: {exc}", exc.index, exc.value
+            f"collision failed at t={fld.t}, {where}: {exc}", exc.index, exc.value
         ) from exc
     raise ValueError(f"collision path must be 'closed_form' or 'quantum', got {path!r}")
 
 
 def stream_1d(f0, f1, reversed_streaming: bool = False) -> tuple:
-    """Streaming alone: shift population i by c_i sites (an exact permutation)."""
+    """Streaming alone: shift population i by c_i sites (an exact permutation).
+
+    Shifts along the last axis, so each row of a (B, n_x) batch streams on its own.
+    """
     sign = -1 if reversed_streaming else 1
-    return np.roll(f0, sign * C_1D[0]), np.roll(f1, sign * C_1D[1])
+    return np.roll(f0, sign * C_1D[0], axis=-1), np.roll(f1, sign * C_1D[1], axis=-1)
 
 
 def stream_2d(f0, f1, vset: VelocitySet2D, reversed_streaming: bool = False) -> tuple:
@@ -315,6 +340,8 @@ def step_1d(
     Default streaming moves population i by c_i sites (c0 = -1,
     c1 = +1); ``reversed_streaming`` moves it by -c_i, the literal
     finite-difference convention, kept for the sign-discrepancy study.
+    A (B, n_x) batch field takes a sequence of B parameter sets, one per
+    row; the quantum path takes only one set.
     """
     g0, g1 = _collide(fld, params, collision)
     f0, f1 = stream_1d(g0, g1, reversed_streaming)

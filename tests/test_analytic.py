@@ -18,7 +18,7 @@ from qlgburgers.analytic import (
     residual_check,
 )
 from qlgburgers.collision import CollisionParams, predicted_coefficients_1d
-from qlgburgers.experiments import analytic_config_for
+from qlgburgers.experiments import analytic_config_for, run_qlg_1d
 from qlgburgers.lattice import Grid1D
 
 P3 = CollisionParams(theta=math.pi / 3)
@@ -129,6 +129,18 @@ class TestColeHopf:
         plus = cole_hopf_density(deltas, 0.0, cfg)
         minus = cole_hopf_density(2.0 - deltas, 0.0, cfg)
         np.testing.assert_allclose(plus, minus, atol=1e-6)
+
+    @pytest.mark.parametrize("rho_b", [0.9, 1.1])
+    def test_mean_drift_matches_lattice(self, rho_b):
+        # away from rho_b = 1 the mean w_bar advects the profile; without the
+        # shift x - w_bar t the worst relative RMS error here is 0.39
+        grid = Grid1D(n_x=128, length_x=128.0)
+        params = CollisionParams(theta=math.pi / 3)
+        trace = run_qlg_1d(grid, params, rho_b, 0.05, 200, stride=20)
+        cfg = analytic_config_for(grid, params, rho_b, 0.05)
+        ana = cole_hopf_density(grid.positions(), trace.times(), cfg)
+        rms = np.sqrt(np.mean((trace.rho - ana) ** 2, axis=1))
+        assert float(np.max(rms)) / 0.05 < 0.002
 
     def test_truncation_insensitive_beyond_80(self):
         xs = FIG4_GRID.positions()

@@ -1,5 +1,6 @@
 """CLI tests: validation, artifacts, manifests, determinism, round trips."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qlgburgers.cli import main
+from qlgburgers.cli import SCHEMAS, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,6 +77,48 @@ class TestValidation:
         rc = main(["simulate1d", "--config", str(path)])
         assert rc == 1
         assert "YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, cfg, override, key",
+        [
+            ("simulate1d", "1d", "snapshot_stride=0", "snapshot_stride"),
+            ("simulate1d", "1d", "snapshot_stride=-2", "snapshot_stride"),
+            ("simulate1d", "1d", "steps=-5", "steps"),
+            ("compare-2d", "2d", "fdm.substeps=0", "fdm.substeps"),
+            ("analytic", "fig4", "analytic.l_trunc=3", "analytic.l_trunc"),
+            ("simulate2d", "2d", "velocity_set.shifts=[[0,0],[0,0]]", "velocity_set"),
+            ("simulate2d", "2d", "velocity_set.shifts=[[1,-1],[1,-1]]", "velocity_set"),
+            ("steepness-sweep", "steep", "steepness.T_values=[20.5]", "steepness.T_values"),
+            ("steepness-sweep", "steep", "steepness.n_x_values=[null]", "steepness.n_x_values"),
+        ],
+    )
+    def test_bad_value_exits_one_naming_key(self, tmp_path, capsys, command, cfg, override, key):
+        # each of these once ended in a traceback or exited 0 with a meaningless run
+        configs = {
+            "1d": small_1d_config(),
+            "fig4": small_1d_config(
+                grid={"n_x": 64, "length_x": 2.0}, initial={"rho_b": 1.0, "rho_a": 0.4}
+            ),
+            "2d": {
+                **small_1d_config(steps=4, snapshot_stride=2),
+                "grid": {"n_x": 8, "n_y": 8, "ds": 1.0},
+                "initial": {"rho_b": 1.0, "rho_a": 0.05},
+                "velocity_set": {"name": "orthogonal"},
+            },
+            "steep": {
+                "run_id": "st",
+                "steepness": {"theta_stop": 1.3, "count": 2, "T_values": [8], "n_x_values": [8]},
+            },
+        }
+        data = {**configs[cfg], "model": SCHEMAS[command]["model"][1]}
+        if override.startswith("velocity_set"):
+            del data["velocity_set"]["name"]
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(path), "--out", str(out), "--override", override])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{key}" in err
 
     def test_bad_enum_choice(self, tmp_path, capsys):
         cfg = small_1d_config(collision_path="magic")
@@ -414,6 +457,35 @@ class TestCheckedInConfigs:
         )
         assert rc == 0
         assert (out / "fig4_t16.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, command, csv, digest",
+        [
+            (
+                "fig3_short",
+                "viscosity-sweep",
+                "fig3_short_sweep.csv",
+                "66cf1971ebe571a2699eb02ecbdac44275b375294edccbc9566a368bd98ce868",
+            ),
+            (
+                "fig3_long",
+                "viscosity-sweep",
+                "fig3_long_sweep.csv",
+                "9c7ddc32f84691a68d2bb4896b792fca1e83032178ec61d48edd43878764790b",
+            ),
+            (
+                "fig6",
+                "steepness-sweep",
+                "fig6_steepness.csv",
+                "7d4d20ba4031206ac4d82c3b78282ed77ed72e45b0cf6bf0dd4142acf11b683e",
+            ),
+        ],
+    )
+    def test_sweep_bytes_pinned(self, tmp_path, name, command, csv, digest):
+        # the sha256 of each checked-in sweep's CSV, as the per-angle runs wrote it
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / csv).read_bytes()).hexdigest() == digest
 
 
 class TestConsoleEntryPoint:

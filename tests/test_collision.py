@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlgburgers.collision import (
+    RANGE_TOL,
     CollisionParams,
     PopulationRangeError,
     build_collision_unitary,
@@ -46,6 +47,11 @@ class TestCollisionParams:
     def test_theta_zero_rejected(self):
         with pytest.raises(ValueError, match="theta"):
             CollisionParams(theta=0.0)
+
+    def test_overflowing_phase_difference_rejected(self):
+        # found by the unit-square property: cos(inf) raised deep in omega
+        with pytest.raises(ValueError, match="zeta - xi"):
+            CollisionParams(theta=1.0, zeta=5.7e305, xi=-1.8e308)
 
     def test_theta_above_half_pi_rejected(self):
         with pytest.raises(ValueError):
@@ -168,6 +174,45 @@ class TestCollide:
         for fn in (collide_quantum, collide_closed_form):
             g0, g1 = fn(f0, f1, p)
             assert g0 + g1 == pytest.approx(f0 + f1, abs=1e-12)
+
+    @given(
+        st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        pops,
+        pops,
+    )
+    @settings(max_examples=300)
+    def test_closed_form_keeps_unit_square(self, theta, zeta, xi, f0, f1):
+        # the only rejected angles are those whose phase difference overflows
+        try:
+            p = CollisionParams(theta=theta, zeta=zeta, xi=xi)
+        except ValueError:
+            assert not math.isfinite(zeta - xi)
+            return
+        for g in collide_closed_form(f0, f1, p):
+            assert not math.isnan(g)
+            assert -RANGE_TOL <= g <= 1.0 + RANGE_TOL
+
+    def test_sequence_of_params_matches_each_row(self):
+        thetas = (0.05, 0.7, 1.3, math.pi / 2)
+        params = [CollisionParams(theta=t, zeta=0.4, xi=-0.3) for t in thetas]
+        f0 = RNG.uniform(0, 1, size=(4, 9))
+        f1 = RNG.uniform(0, 1, size=(4, 9))
+        g0, g1 = collide_closed_form(f0, f1, params)
+        om = omega(f0, f1, params)
+        for k, p in enumerate(params):
+            s0, s1 = collide_closed_form(f0[k], f1[k], p)
+            assert np.array_equal(g0[k], s0) and np.array_equal(g1[k], s1)
+            assert np.array_equal(om[k], omega(f0[k], f1[k], p))
+
+    def test_sequence_of_params_needs_one_row_each(self):
+        params = [CollisionParams(theta=1.0), CollisionParams(theta=1.2)]
+        for shape in ((3, 5), (5,)):
+            with pytest.raises(ValueError, match="one leading row each"):
+                collide_closed_form(np.full(shape, 0.5), np.full(shape, 0.5), params)
+        with pytest.raises(ValueError, match="one CollisionParams"):
+            collide_quantum(np.full((2, 5), 0.5), np.full((2, 5), 0.5), params)
 
     def test_phase_invariance_of_both_paths(self):
         # (zeta, xi) enter only through zeta - xi

@@ -294,6 +294,82 @@ class TestSweeps:
         b = viscosity_sweep(thetas, steps=50)
         assert [r.nu_exp for r in a] == [r.nu_exp for r in b]
 
+    @pytest.mark.parametrize("init", ["equilibrium", "symmetric"])
+    def test_batch_run_equals_single_runs(self, init):
+        grid = Grid1D(n_x=33, length_x=2.0)
+        params = [CollisionParams(theta=t) for t in (0.3, 1.1, math.pi / 2)]
+        batch = run_qlg_1d(grid, params, 1.0, 0.4, 30, stride=3, init=init, reversed_streaming=True)
+        assert batch.rho.shape == (11, 3, 33) and batch.params == tuple(params) and batch.is_1d
+        for p, one in zip(params, batch.runs()):
+            single = run_qlg_1d(grid, p, 1.0, 0.4, 30, stride=3, init=init, reversed_streaming=True)
+            assert np.array_equal(one.rho, single.rho) and np.array_equal(one.steps, single.steps)
+            assert one.params == p
+        with pytest.raises(ValueError, match=r"trace\.runs\(\)"):
+            experimental_viscosity(batch, params[0])
+
+    def test_failing_batch_rerun_per_angle(self, tmp_path, monkeypatch):
+        # a population of the second angle leaves [0, 1] after step 20, so the
+        # collision of step 21 fails inside a batch of three; the batch is
+        # rerun angle by angle, and rows and manifest failure texts equal
+        # those of a sweep that runs every angle alone
+        import json
+
+        import qlgburgers.experiments as ex
+        import qlgburgers.lattice as lat
+        import yaml
+
+        from qlgburgers.cli import main
+
+        bad = 1.25
+        failing_batches = []
+        real_collide = lat._collide
+
+        def collide(fld, params, path):
+            g0, g1 = real_collide(fld, params, path)
+            thetas = [p.theta for p in (params if isinstance(params, tuple) else (params,))]
+            if fld.t == 20 and bad in thetas:
+                failing_batches.append(len(thetas))
+                g0 = g0.copy()
+                g0.reshape(len(thetas), -1)[thetas.index(bad), 3] = 1.5
+            return g0, g1
+
+        monkeypatch.setattr(lat, "_collide", collide)
+        cfg = {
+            "model": "viscosity-sweep",
+            "run_id": "vs",
+            "sweep": {"theta_start": 1.2, "theta_stop": 1.35, "count": 4, "T": 40},
+        }
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        results = {}
+        for budget in (0, 3 * 8 * 64 * 41):  # every angle alone, then batches of 3
+            monkeypatch.setattr(ex, "_SWEEP_BATCH_BYTES", budget)
+            out = tmp_path / str(budget)
+            assert main(["viscosity-sweep", "--config", str(path), "--out", str(out)]) == 0
+            rows = viscosity_sweep(np.linspace(1.2, 1.35, 4), steps=40)
+            manifest = json.loads((out / "manifest.json").read_text())
+            results[budget] = (repr(rows), (out / "vs_sweep.csv").read_bytes(), manifest["results"])
+        assert results[0] == results[3 * 8 * 64 * 41]
+        assert failing_batches == [1, 1, 3, 1, 3, 1]
+        failures = results[0][2]["failures"]
+        assert list(failures) == ["1.25"] and "t=21, site x=" in failures["1.25"]
+
+    def test_steepness_blocks_equal_whole_trace(self):
+        # T values straddle the 256-snapshot blocks, out of order and with T = 0;
+        # the reference takes shock_steepness of each angle's whole trace up to T
+        thetas, steps_list = [0.9, 1.3, math.pi / 2], [300, 0, 257, 255, 256]
+        rows = steepness_sweep(thetas, steps_list=steps_list, n_x_list=[16, 9])
+        expected = []
+        for n_x in (16, 9):
+            grid = Grid1D(n_x=n_x, length_x=2.0)
+            for theta in thetas:
+                params = CollisionParams(theta=theta)
+                trace = run_qlg_1d(grid, params, 1.0, 0.4, 300)
+                for t in steps_list:
+                    sub = DensityTrace(trace.rho[: t + 1], trace.steps[: t + 1], grid, params)
+                    expected.append({"theta": theta, "n_x": n_x, "T": t, "delta": shock_steepness(sub)})
+        assert rows == expected
+
     def test_steepness_sweep_rows(self):
         rows = steepness_sweep([0.9, 1.3], steps_list=[50, 100], n_x_list=[32])
         assert len(rows) == 4

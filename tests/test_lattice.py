@@ -36,6 +36,48 @@ def random_field_1d(grid, lo=0.1, hi=0.9):
     )
 
 
+class TestBatch1D:
+    # one (B, n_x) step per angle set equals B single-angle steps bit for bit
+    PARAMS = (
+        CollisionParams(theta=0.05),
+        CollisionParams(theta=0.9, zeta=0.3, xi=-1.1),
+        P3,
+        CollisionParams(theta=math.pi / 2),
+    )
+
+    @pytest.mark.parametrize("init", ["equilibrium", "symmetric"])
+    @pytest.mark.parametrize("reversed_streaming", [False, True])
+    @pytest.mark.parametrize("n_x", [16, 17])
+    def test_batch_steps_equal_single_steps(self, init, reversed_streaming, n_x):
+        g = Grid1D(n_x=n_x, length_x=2.0)
+        batch = init_cosine_1d(g, 1.0, 0.3, self.PARAMS, init=init)
+        singles = [init_cosine_1d(g, 1.0, 0.3, p, init=init) for p in self.PARAMS]
+        kwargs = {"reversed_streaming": reversed_streaming}
+        for _ in range(40):
+            batch = step_1d(batch, self.PARAMS, **kwargs)
+            singles = [step_1d(f, p, **kwargs) for f, p in zip(singles, self.PARAMS)]
+        assert batch.f0.shape == (4, n_x) and batch.t == 40
+        for k, f in enumerate(singles):
+            assert np.array_equal(batch.f0[k], f.f0) and np.array_equal(batch.f1[k], f.f1)
+
+    def test_stream_rolls_each_row(self):
+        f = np.arange(12.0).reshape(2, 6)
+        g0, g1 = stream_1d(f, f + 100.0)
+        for k in range(2):
+            s0, s1 = stream_1d(f[k], f[k] + 100.0)
+            assert np.array_equal(g0[k], s0) and np.array_equal(g1[k], s1)
+
+    def test_quantum_path_takes_one_params(self):
+        g = Grid1D(n_x=8, length_x=2.0)
+        batch = init_cosine_1d(g, 1.0, 0.3, self.PARAMS)
+        with pytest.raises(ValueError, match="one CollisionParams"):
+            step_1d(batch, self.PARAMS, collision="quantum")
+
+    def test_empty_params_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            init_cosine_1d(Grid1D(n_x=8, length_x=2.0), 1.0, 0.3, ())
+
+
 class TestGrids:
     def test_diffusive_scaling(self):
         g = Grid1D(n_x=64, length_x=2.0)
@@ -234,6 +276,18 @@ class TestStep1D:
         fld = PopulationField1D(f0=f0, f1=np.full(8, 0.5), grid=g, t=7)
         with pytest.raises(PopulationRangeError, match=r"t=7.*x=3"):
             step_1d(fld, P3)
+
+    def test_batch_range_error_names_theta_row_and_site(self):
+        from qlgburgers.collision import PopulationRangeError
+
+        g = Grid1D(n_x=8, length_x=1.0)
+        params = (CollisionParams(theta=1.0), P3, CollisionParams(theta=1.4))
+        f0 = np.full((3, 8), 0.5)
+        f0[1, 5] = 1.5
+        fld = PopulationField1D(f0=f0, f1=np.full((3, 8), 0.5), grid=g, t=4)
+        message = r"t=4, theta row 1 \(theta=1\.047.*\), site x=5"
+        with pytest.raises(PopulationRangeError, match=message):
+            step_1d(fld, params)
 
     def test_range_error_carries_2d_coordinates(self):
         from qlgburgers.collision import PopulationRangeError
