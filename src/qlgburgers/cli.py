@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -149,6 +150,9 @@ _MINIMA = {
     "steps": 0,
     "snapshot_stride": 1,
     "fdm.substeps": 1,
+    "sweep.count": 1,
+    "sweep.T": 1,
+    "steepness.count": 1,
     "steepness.T_values": 0,
     "steepness.n_x_values": 2,
 }
@@ -173,6 +177,8 @@ def _resolve(cfg, schema, path=""):
             val = cfg[key]
             if typ is float and isinstance(val, (int, float)) and not isinstance(val, bool):
                 val = float(val)
+                if not math.isfinite(val):
+                    raise ConfigError(f"config key '{where}' must be a finite number, got {val!r}")
             elif typ is int:
                 if isinstance(val, bool) or not isinstance(val, int):
                     raise ConfigError(f"config key '{where}' must be an integer, got {val!r}")

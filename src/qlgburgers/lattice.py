@@ -243,7 +243,7 @@ def _cosine_density(grid, rho_b: float, rho_a: float) -> np.ndarray:
 def _cosine_pairs(grid, rho_b, rho_a, params, init):
     """Site pairs of the cosine density, after checking that it stays in [0, 2]."""
     spread = (1 if isinstance(grid, Grid1D) else 2) * abs(rho_a)
-    if rho_b - spread < 0.0 or rho_b + spread > 2.0:
+    if not (rho_b - spread >= 0.0 and rho_b + spread <= 2.0):  # false for NaN too
         raise ValueError(f"initial density range [{rho_b - spread}, {rho_b + spread}] leaves [0, 2]")
     rho = _cosine_density(grid, rho_b, rho_a)
     if init == "equilibrium":

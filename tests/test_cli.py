@@ -90,6 +90,15 @@ class TestValidation:
             ("simulate2d", "2d", "velocity_set.shifts=[[1,-1],[1,-1]]", "velocity_set"),
             ("steepness-sweep", "steep", "steepness.T_values=[20.5]", "steepness.T_values"),
             ("steepness-sweep", "steep", "steepness.n_x_values=[null]", "steepness.n_x_values"),
+            ("simulate1d", "fig4", "initial.rho_a=.nan", "initial.rho_a"),
+            ("simulate2d", "2d", "initial.rho_b=.nan", "initial.rho_b"),
+            ("simulate1d", "1d", "collision.theta=.inf", "collision.theta"),
+            ("viscosity-sweep", "visc", "sweep.rho_a=.nan", "sweep.rho_a"),
+            ("viscosity-sweep", "visc", "sweep.count=-1", "sweep.count"),
+            ("viscosity-sweep", "visc", "sweep.count=0", "sweep.count"),
+            ("viscosity-sweep", "visc", "sweep.T=-3", "sweep.T"),
+            ("viscosity-sweep", "visc", "sweep.T=0", "sweep.T"),
+            ("steepness-sweep", "steep", "steepness.count=-2", "steepness.count"),
         ],
     )
     def test_bad_value_exits_one_naming_key(self, tmp_path, capsys, command, cfg, override, key):
@@ -109,6 +118,7 @@ class TestValidation:
                 "run_id": "st",
                 "steepness": {"theta_stop": 1.3, "count": 2, "T_values": [8], "n_x_values": [8]},
             },
+            "visc": {"run_id": "vs", "sweep": {"theta_stop": 1.3, "count": 2, "T": 8, "n_x": 8}},
         }
         data = {**configs[cfg], "model": SCHEMAS[command]["model"][1]}
         if override.startswith("velocity_set"):
@@ -119,6 +129,7 @@ class TestValidation:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"'{key}" in err
+        assert not list(out.glob("*.csv"))
 
     def test_bad_enum_choice(self, tmp_path, capsys):
         cfg = small_1d_config(collision_path="magic")
@@ -486,6 +497,19 @@ class TestCheckedInConfigs:
         out = tmp_path / "out"
         assert main([command, "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
         assert hashlib.sha256((out / csv).read_bytes()).hexdigest() == digest
+
+    def test_snapshot_2d_bytes_pinned(self, tmp_path):
+        # the sha256 of every snapshot of a reduced fig8_set4 run: 4096 rows of
+        # 17-digit floats each, over many writer blocks
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--override", "steps=40", "--override", "snapshot_stride=20"]
+        assert main(["simulate2d", "--config", str(CONFIGS / "fig8_set4.yaml"), *args]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+        assert digests == {
+            "fig8_set4_t0.csv": "323ac3abdb4fce2a0559d1987f2b75ca4ddbd29e3e25acca483a4452e9dc83e9",
+            "fig8_set4_t20.csv": "d94deb16c5eb9a64932204102c6aa96726b65fb85826ef7d604db597c882d43f",
+            "fig8_set4_t40.csv": "2d5204f4b4d1c271ac016aba67caf307ee3aeebc4fbce447f25833301124a7aa",
+        }
 
 
 class TestConsoleEntryPoint:

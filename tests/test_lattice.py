@@ -137,6 +137,9 @@ class TestInit:
         g = Grid1D(n_x=16, length_x=2.0)
         with pytest.raises(ValueError, match="leaves"):
             init_cosine_1d(g, 1.0, 1.5, P3)
+        for rho_b, rho_a in ((math.nan, 0.1), (1.0, math.nan), (math.inf, 0.0)):
+            with pytest.raises(ValueError, match="leaves"):
+                init_cosine_1d(g, rho_b, rho_a, P3)
 
     def test_2d_mass_and_profile(self):
         g = Grid2D(n_x=64, n_y=64, ds=1.0)
