@@ -49,6 +49,7 @@ from .lattice import (
     Grid1D,
     Grid2D,
     PdeCoefficients2D,
+    PopulationField,
     PopulationField1D,
     PopulationField2D,
     VelocitySet2D,

@@ -152,6 +152,7 @@ _MINIMA = {
     "fdm.substeps": 1,
     "sweep.count": 1,
     "sweep.T": 1,
+    "sweep.n_x": 2,
     "steepness.count": 1,
     "steepness.T_values": 0,
     "steepness.n_x_values": 2,
@@ -246,27 +247,31 @@ def _apply_overrides(cfg, overrides):
 # Builders from resolved config sections.
 
 
+def _built(key, build, **kwargs):
+    """``build(**kwargs)``; its ValueError is raised again as a config error naming ``key``."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config key '{key}' invalid: {exc}") from exc
+
+
 def _build_vset(section):
     from .lattice import VelocitySet2D, velocity_set_by_name
 
     if section["name"]:
         if section["shifts"] is not None or section["basis"] is not None:
             raise ConfigError("config key 'velocity_set' must give either name or shifts, not both")
-        try:
-            return velocity_set_by_name(section["name"])
-        except ValueError as exc:
-            raise ConfigError(f"config key 'velocity_set.name' invalid: {exc}") from exc
+        return _built("velocity_set.name", velocity_set_by_name, name=section["name"])
     if section["shifts"] is None:
         raise ConfigError("config key 'velocity_set' needs a name or explicit shifts")
     basis = section["basis"] if section["basis"] is not None else ((1.0, 0.0), (0.0, 1.0))
-    try:
-        return VelocitySet2D(
-            shifts=tuple(tuple(s) for s in section["shifts"]),
-            basis=tuple(tuple(b) for b in basis),
-            name="custom",
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config key 'velocity_set' invalid: {exc}") from exc
+    return _built(
+        "velocity_set",
+        VelocitySet2D,
+        shifts=tuple(tuple(s) for s in section["shifts"]),
+        basis=tuple(tuple(b) for b in basis),
+        name="custom",
+    )
 
 
 def _build_setup(resolved):
@@ -274,17 +279,15 @@ def _build_setup(resolved):
     from .collision import CollisionParams
     from .lattice import Grid1D, Grid2D
 
-    g = resolved["grid"]
-    if "n_y" in g:
-        grid = Grid2D(n_x=g["n_x"], n_y=g["n_y"], ds=g["ds"])
-    else:
-        grid = Grid1D(n_x=g["n_x"], length_x=g["length_x"])
-    col = resolved["collision"]
-    try:
-        params = CollisionParams(theta=col["theta"], zeta=col["zeta"], xi=col["xi"])
-    except ValueError as exc:
-        raise ConfigError(f"config key 'collision' invalid: {exc}") from exc
+    g = resolved["grid"]  # its keys are the fields of the grid class
+    grid = _built("grid", Grid2D if "n_y" in g else Grid1D, **g)
+    params = _built("collision", CollisionParams, **resolved["collision"])
     vset = _build_vset(resolved["velocity_set"]) if "velocity_set" in resolved else None
+    if vset is not None and not np.any(np.subtract(*vset.shifts[::-1]) % grid.shape):
+        raise ConfigError(
+            f"config key 'velocity_set' invalid: shifts {vset.shifts!r} differ by a multiple "
+            f"of the grid {grid.shape}, so both populations stream alike"
+        )
     return grid, params, vset
 
 
@@ -367,31 +370,30 @@ def _cmd_simulate(resolved, outdir, timings):
 
 
 def _fdm_setup(resolved, grid, params, vset):
-    """Index-space coefficients of the reference solver and its substep count.
+    """Coefficient arguments of ``run_fdm_1d``/``run_fdm_2d`` and the substep count.
 
     2D solves on the index grid: streaming shifts act there, so the
-    comparison with the lattice gas is site-by-site.  1D embeds (c_s, nu),
-    predicted or overridden, as the axis-symmetric 2D set a = 0,
-    b = (c_s, 0), D = diag(nu, 0), so ``auto`` bounds its step alike.
+    comparison with the lattice gas is site-by-site.  1D takes (c_s, nu),
+    predicted or overridden; ``auto`` bounds its step by the axis-aligned
+    2D set that its update runs.
     """
     from .collision import predicted_coefficients_1d
-    from .fdm import substeps_auto
-    from .lattice import PdeCoefficients2D, predicted_coefficients_2d
+    from .fdm import _axis_aligned, substeps_auto
+    from .lattice import predicted_coefficients_2d
 
     if vset is not None:
         coeffs = predicted_coefficients_2d(vset.index_space(), params, grid.ds, grid.dt)
-        ds = grid.ds
+        solver, ds = (coeffs,), grid.ds
     else:
         predicted = predicted_coefficients_1d(params, grid.dx, grid.dt)
         fdm = resolved["fdm"]
         c_s = predicted.c_s if fdm["c_s"] is None else float(fdm["c_s"])
         nu = predicted.nu if fdm["nu"] is None else float(fdm["nu"])
-        coeffs = PdeCoefficients2D(a=np.zeros(2), b=np.array([c_s, 0.0]), D=np.diag([nu, 0.0]))
-        ds = grid.dx
+        solver, coeffs, ds = (c_s, nu), _axis_aligned(c_s, nu), grid.dx
     substeps = resolved["fdm"]["substeps"]
     if substeps in (None, "auto"):
-        return coeffs, substeps_auto(coeffs, ds, grid.dt)
-    return coeffs, int(substeps)
+        return solver, substeps_auto(coeffs, ds, grid.dt)
+    return solver, int(substeps)
 
 
 def _cmd_fdm(resolved, outdir, timings):
@@ -400,18 +402,18 @@ def _cmd_fdm(resolved, outdir, timings):
 
     grid, params, vset = _build_setup(resolved)
     ini = resolved["initial"]
-    coeffs, substeps = _fdm_setup(resolved, grid, params, vset)
+    solver, substeps = _fdm_setup(resolved, grid, params, vset)
     run = (ini["rho_b"], ini["rho_a"], resolved["steps"], resolved["snapshot_stride"], substeps)
     with _timed(timings, "solve"):
         if vset is None:
-            c_s, nu = float(coeffs.b[0]), float(coeffs.D[0, 0])
+            c_s, nu = solver
             trace, div_step = run_fdm_1d(grid, c_s, nu, *run)
             out = {"c_s": c_s, "nu": nu}
         else:
-            trace, div_step = run_fdm_2d(grid, coeffs, *run)
+            trace, div_step = run_fdm_2d(grid, *solver, *run)
             out = {
                 "velocity_set": _vset_manifest(vset),
-                "index_space_coefficients": _coeffs_manifest(coeffs),
+                "index_space_coefficients": _coeffs_manifest(*solver),
             }
     for rho, step in zip(trace.rho, trace.steps):
         path = outdir / snapshot_filename(resolved["run_id"], int(step))
@@ -472,8 +474,11 @@ def _cmd_viscosity_sweep(resolved, outdir, timings):
 def _cmd_steepness_sweep(resolved, outdir, timings):
     from .experiments import steepness_sweep
     from .io import write_rows_csv
+    from .lattice import Grid1D
 
     sp = resolved["steepness"]
+    for n_x in sp["n_x_values"]:
+        _built("steepness", Grid1D, n_x=n_x, length_x=sp["length_x"])
     thetas = np.linspace(sp["theta_start"], sp["theta_stop"], sp["count"])
     with _timed(timings, "sweep"):
         rows = steepness_sweep(
@@ -531,13 +536,13 @@ def _cmd_compare_2d(resolved, outdir, timings):
     from .io import write_rows_csv
 
     grid, params, vset = _build_setup(resolved)
-    coeffs, substeps = _fdm_setup(resolved, grid, params, vset)
+    solver, substeps = _fdm_setup(resolved, grid, params, vset)
     run = _run_args(resolved)
     with _timed(timings, "qlg"):
         qlg = run_qlg_2d(grid, params, vset, **run)
     with _timed(timings, "fdm"):
         fdm, div_step = run_fdm_2d(
-            grid, coeffs, run["rho_b"], run["rho_a"], run["steps"], run["stride"], substeps
+            grid, *solver, run["rho_b"], run["rho_a"], run["steps"], run["stride"], substeps
         )
     with _timed(timings, "compare"):
         series = l2_compare_2d(qlg, fdm, run["rho_b"])

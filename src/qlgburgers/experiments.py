@@ -61,8 +61,8 @@ DENOMINATOR_GUARD = 1e-12
 # several MB.
 _SWEEP_BATCH_BYTES = 4_000_000
 
-# Snapshots per block over which a steepness sweep takes its running maximum.
-_STEEPNESS_BLOCK = 256
+# Snapshots per block of the steepness maximum and of the viscosity estimator.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class DensityTrace:
 
     @property
     def is_1d(self) -> bool:
-        return isinstance(self.grid, Grid1D)
+        return len(self.grid.shape) == 1
 
     def runs(self) -> list:
         """One trace per run: views of the rows of a batch, or ``[self]``."""
@@ -365,32 +365,33 @@ def experimental_viscosity(
     a = params.alpha() if params is not None else float(alpha)
 
     rho = trace.rho
-    cur = rho[:-1]
-    fwd = np.roll(cur, -1, axis=1)
-    bwd = np.roll(cur, 1, axis=1)
-    num = rho[1:] - cur + sign * a * (cur - 1.0) * (fwd - cur)
-    den = bwd - 2.0 * cur + fwd
-
     per_step = []
     used_steps = []
     n_kept = 0
-    n_total = num.size
+    n_total = (rho.shape[0] - 1) * rho.shape[1]
     n_skipped = 0
-    for k in range(num.shape[0]):
-        valid = np.abs(den[k]) >= DENOMINATOR_GUARD
-        if not np.any(valid):
-            n_skipped += 1
-            continue
-        est = num[k, valid] / den[k, valid]
-        mean = est.mean()
-        std = est.std()
-        keep = np.abs(est - mean) <= filter_sigmas * std
-        if not np.any(keep):
-            n_skipped += 1
-            continue
-        n_kept += int(np.count_nonzero(keep))
-        per_step.append(float(est[keep].mean()))
-        used_steps.append(int(trace.steps[k]))
+    for first in range(0, rho.shape[0] - 1, _BLOCK):
+        stop = min(first + _BLOCK, rho.shape[0] - 1)
+        cur = rho[first:stop]
+        fwd = np.roll(cur, -1, axis=1)
+        bwd = np.roll(cur, 1, axis=1)
+        num = rho[first + 1 : stop + 1] - cur + sign * a * (cur - 1.0) * (fwd - cur)
+        den = bwd - 2.0 * cur + fwd
+        for k in range(num.shape[0]):
+            valid = np.abs(den[k]) >= DENOMINATOR_GUARD
+            if not np.any(valid):
+                n_skipped += 1
+                continue
+            est = num[k, valid] / den[k, valid]
+            mean = est.mean()
+            std = est.std()
+            keep = np.abs(est - mean) <= filter_sigmas * std
+            if not np.any(keep):
+                n_skipped += 1
+                continue
+            n_kept += int(np.count_nonzero(keep))
+            per_step.append(float(est[keep].mean()))
+            used_steps.append(int(trace.steps[first + k]))
 
     scale = trace.grid.dx ** 2 / trace.grid.dt
     value = scale * float(np.mean(per_step)) if per_step else None
@@ -594,7 +595,7 @@ def steepness_sweep(
 
     All angles of one N_x step together as one (B, n_x) batch for
     max(T) steps, and no trace is kept: :func:`shock_steepness` runs on
-    each angle's rows of blocks of at most ``_STEEPNESS_BLOCK`` snapshots,
+    each angle's rows of blocks of at most ``_BLOCK`` snapshots,
     with a block ending at every T, and a running maximum per angle gives
     each row.  That equals the steepness of the whole trace up to T bit
     for bit: the maximum is exact in any order, and rounding c * jump is
@@ -613,13 +614,13 @@ def steepness_sweep(
         snaps = _qlg_snapshots(
             grid, params, None, rho_b, rho_a, longest, 1, "closed_form", False, "equilibrium"
         )
-        block = np.empty((_STEEPNESS_BLOCK, len(params), grid.n_x))
+        block = np.empty((_BLOCK, len(params), grid.n_x))
         first = 0  # step of the block's first snapshot
         running = [-math.inf] * len(params)
         delta_at = {}  # T -> delta of every angle over steps 0..T
         for t, fld in snaps:
             block[t - first] = density(fld)
-            if t - first + 1 < _STEEPNESS_BLOCK and t not in steps_list:
+            if t - first + 1 < _BLOCK and t not in steps_list:
                 continue
             recorded = np.arange(first, t + 1)
             for k, p in enumerate(params):

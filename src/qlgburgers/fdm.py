@@ -1,16 +1,17 @@
 """Explicit finite-difference reference solver for the derived equations.
 
-Solves the 1D equation d_t rho + c_s (1 - rho) d_x rho = nu d_xx rho
-and the 2D anisotropic form
+Solves the 2D anisotropic form
 
     d_t rho = -a . grad rho - b . [(1 - rho) grad rho] + div(D grad rho)
 
 with explicit Euler in time and second-order central differences in
 space (the cross derivative uses the 4-point corner stencil), periodic
-boundaries.  Each update copies the field once into an array with one
-periodic ghost cell on every side (a halo) and reads all neighbours,
-corners included, as views of that copy.  The nonlinear term is
-discretized non-conservatively, exactly as the equation is written.
+boundaries.  The 1D equation d_t rho + c_s (1 - rho) d_x rho = nu d_xx rho
+is its case a = 0, b = (c_s, 0), D = diag(nu, 0) on a single column, whose
+y terms are exact zeros.  Each update copies the field once into an array
+with one periodic ghost cell on every side (a halo) and reads all
+neighbours, corners included, as views of that copy.  The nonlinear term
+is discretized non-conservatively, exactly as the equation is written.
 
 The scheme is intentionally plain: near shock formation it is expected
 to go unstable, which mirrors the behaviour reported for the reference
@@ -26,6 +27,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .lattice import PdeCoefficients2D
 
 __all__ = [
     "FdmDivergenceError",
@@ -71,27 +74,13 @@ def _periodic_halo(rho: np.ndarray) -> np.ndarray:
     return halo
 
 
-def fdm_step_1d(rho: np.ndarray, c_s: float, nu: float, dx: float, dt: float) -> np.ndarray:
-    """One explicit Euler update of the 1D equation, periodic.
-
-    The operations are grouped exactly as the 2D kernel reduces for the
-    axis-aligned coefficients, so a y-constant 2D run matches this
-    update bitwise row by row.
-    """
-    halo = _periodic_halo(rho)
-    fwd, bwd = halo[2:], halo[:-2]
-    drho = (fwd - bwd) / (2.0 * dx)
-    d2rho = (fwd - 2.0 * rho + bwd) / (dx * dx)
-    advection = (1.0 - rho) * (c_s * drho)
-    return rho + dt * (-advection + nu * d2rho)
+def _axis_aligned(c_s: float, nu: float) -> PdeCoefficients2D:
+    """The 1D coefficients (c_s, nu) as the 2D set a = 0, b = (c_s, 0), D = diag(nu, 0)."""
+    return PdeCoefficients2D(a=np.zeros(2), b=np.array([c_s, 0.0]), D=np.diag([nu, 0.0]))
 
 
-def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float) -> np.ndarray:
-    """One explicit Euler update of the 2D equation, periodic.
-
-    ``coeffs`` provides vectors a, b and the symmetric tensor D; axis 0
-    of ``rho`` is x, axis 1 is y.
-    """
+def _euler(rho: np.ndarray, coeffs, ds: float, dt: float) -> np.ndarray:
+    """Explicit Euler update of the 2D equation; axis 0 of ``rho`` is x, axis 1 is y."""
     a, b, d = coeffs.a, coeffs.b, coeffs.D
     halo = _periodic_halo(rho)
     xf, xb = halo[2:, 1:-1], halo[:-2, 1:-1]
@@ -104,6 +93,16 @@ def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float) -> np.ndarray:
     advection = a[0] * rx + a[1] * ry + (1.0 - rho) * (b[0] * rx + b[1] * ry)
     diffusion = d[0, 0] * rxx + d[1, 1] * ryy + 2.0 * d[0, 1] * rxy
     return rho + dt * (-advection + diffusion)
+
+
+def fdm_step_1d(rho: np.ndarray, c_s: float, nu: float, dx: float, dt: float) -> np.ndarray:
+    """One explicit Euler update of the 1D equation, periodic: the 2D update on one column."""
+    return _euler(rho[:, None], _axis_aligned(c_s, nu), dx, dt)[:, 0]
+
+
+def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float) -> np.ndarray:
+    """One explicit Euler update of the 2D equation, periodic; ``coeffs`` has a, b and D."""
+    return _euler(rho, coeffs, ds, dt)
 
 
 def substeps_auto(coeffs, ds: float, dt: float, drift_bound: float = 1.0) -> int:

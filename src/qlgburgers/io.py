@@ -21,6 +21,7 @@ gain, go through ``format()`` itself.  Mixed rows of Python values
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -228,24 +229,15 @@ def _write_floats(path, header, n_rows, t, sites, values) -> None:
 
 def _write_sites(path, grid, t, **values) -> None:
     """Write one row per site: t, x (and y, varying fastest, in 2D), then the ``values``."""
-    if hasattr(grid, "n_y"):
-        # the slots of each x and y are made once and gathered per block
-        xs = _format17g(np.arange(grid.n_x) * grid.ds)
-        ys = _format17g(np.arange(grid.n_y) * grid.ds)
+    # the slots of each axis's coordinates are made once and gathered per block
+    axes = [_format17g(c) for c in grid.coordinates()]
 
-        def sites(start, stop):
-            x, y = np.divmod(np.arange(start, stop), grid.n_y)
-            return np.take(xs, x, axis=0), np.take(ys, y, axis=0)
+    def sites(start, stop):
+        index = np.unravel_index(np.arange(start, stop), grid.shape)
+        return [np.take(slots, i, axis=0) for slots, i in zip(axes, index)]
 
-        names, n_rows = ("x", "y"), grid.n_x * grid.n_y
-    else:
-        xs = _format17g(grid.positions())
-        names, n_rows = ("x",), grid.n_x
-
-        def sites(start, stop):
-            return (xs[start:stop],)
-
-    _write_floats(path, ("t", *names, *values), n_rows, t, sites, list(values.values()))
+    header = ("t", *("x", "y")[: len(axes)], *values)
+    _write_floats(path, header, math.prod(grid.shape), t, sites, list(values.values()))
 
 
 def _write_field(path, fld) -> None:

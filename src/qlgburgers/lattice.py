@@ -2,12 +2,13 @@
 
 A step is a per-site collision (closed form by default, quantum path
 available) followed by classical streaming with periodic boundaries.
-Streaming moves population ``i`` by its velocity: in 1D ``c0 = -1`` and
-``c1 = +1`` sites per step; in 2D by the integer shift pair of the
-velocity set.  This is the convention of the algorithmic description
-and is the one validated against the analytic Burgers solution; the
-finite-difference form with the opposite sign can be selected with
-``reversed_streaming=True`` for the discrepancy study.
+1D is the rank-1 case of one lattice: the ranks share the field class,
+the collision and the streaming rule, which moves population ``i`` by
+its integer shift (``c0 = -1``, ``c1 = +1`` sites per step in 1D, the
+velocity set's pair in 2D).  That is the algorithmic description's
+convention, validated against the analytic Burgers solution;
+``reversed_streaming=True`` moves it the opposite way, the
+finite-difference form kept for the discrepancy study.
 
 Everything is deterministic: measurement is an expectation value, so
 repeated runs are bitwise identical.
@@ -37,6 +38,7 @@ __all__ = [
     "Grid1D",
     "Grid2D",
     "PdeCoefficients2D",
+    "PopulationField",
     "PopulationField1D",
     "PopulationField2D",
     "VelocitySet2D",
@@ -51,8 +53,6 @@ __all__ = [
     "stream_2d",
     "velocity_set_by_name",
 ]
-
-C_1D = (-1, 1)  # velocity labels: f0 streams left, f1 streams right
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,15 @@ class Grid1D:
         """Lattice speed dx/dt."""
         return self.dx / self.dt
 
+    @property
+    def shape(self) -> tuple:
+        return (self.n_x,)
+
     def positions(self) -> np.ndarray:
         return np.arange(self.n_x) * self.dx
+
+    def coordinates(self) -> tuple:
+        return (self.positions(),)
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,13 @@ class Grid2D:
     @property
     def c(self) -> float:
         return self.ds / self.dt
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n_x, self.n_y)
+
+    def coordinates(self) -> tuple:
+        return (np.arange(self.n_x) * self.ds, np.arange(self.n_y) * self.ds)
 
 
 @dataclass(frozen=True)
@@ -192,32 +206,23 @@ class PdeCoefficients2D:
 
 
 @dataclass(frozen=True)
-class PopulationField1D:
-    f0: np.ndarray  # shape (n_x,), or (B, n_x) for a batch of B lattices
+class PopulationField:
+    """The two populations on the grid's axes (axis 0 is x); 1D may add a batch axis (B, n_x)."""
+
+    f0: np.ndarray
     f1: np.ndarray
-    grid: Grid1D
+    grid: Grid1D | Grid2D
     t: int = 0
 
     def __post_init__(self):
-        if self.f0.shape[-1:] != (self.grid.n_x,) or self.f1.shape != self.f0.shape:
-            raise ValueError(
-                f"field shape {self.f0.shape}/{self.f1.shape} does not match grid n_x={self.grid.n_x}"
-            )
-
-
-@dataclass(frozen=True)
-class PopulationField2D:
-    f0: np.ndarray  # shape (n_x, n_y), axis 0 is x
-    f1: np.ndarray
-    grid: Grid2D
-    t: int = 0
-
-    def __post_init__(self):
-        shape = (self.grid.n_x, self.grid.n_y)
-        if self.f0.shape != shape or self.f1.shape != shape:
+        shape = self.grid.shape
+        if self.f0.shape[self.f0.ndim - len(shape) :] != shape or self.f1.shape != self.f0.shape:
             raise ValueError(
                 f"field shape {self.f0.shape}/{self.f1.shape} does not match grid {shape}"
             )
+
+
+PopulationField1D = PopulationField2D = PopulationField
 
 
 def density(fld):
@@ -242,7 +247,7 @@ def _cosine_density(grid, rho_b: float, rho_a: float) -> np.ndarray:
 
 def _cosine_pairs(grid, rho_b, rho_a, params, init):
     """Site pairs of the cosine density, after checking that it stays in [0, 2]."""
-    spread = (1 if isinstance(grid, Grid1D) else 2) * abs(rho_a)
+    spread = len(grid.shape) * abs(rho_a)
     if not (rho_b - spread >= 0.0 and rho_b + spread <= 2.0):  # false for NaN too
         raise ValueError(f"initial density range [{rho_b - spread}, {rho_b + spread}] leaves [0, 2]")
     rho = _cosine_density(grid, rho_b, rho_a)
@@ -265,7 +270,7 @@ def _per_row(params, pair_of):
 
 def init_cosine_1d(
     grid: Grid1D, rho_b: float, rho_a: float, params: CollisionParams, init: str = "equilibrium"
-) -> PopulationField1D:
+) -> PopulationField:
     """Field with rho(x, 0) = rho_b + rho_a cos(2 pi x / L_x).
 
     Site pairs are set to the equilibrium of the local density (so the
@@ -274,15 +279,15 @@ def init_cosine_1d(
     gives a (B, n_x) batch with row k initialised for ``params[k]``.
     """
     f0, f1 = _cosine_pairs(grid, rho_b, rho_a, params, init)
-    return PopulationField1D(f0=f0, f1=f1, grid=grid, t=0)
+    return PopulationField(f0=f0, f1=f1, grid=grid, t=0)
 
 
 def init_cosine_2d(
     grid: Grid2D, rho_b: float, rho_a: float, params: CollisionParams, init: str = "equilibrium"
-) -> PopulationField2D:
+) -> PopulationField:
     """Field with rho(i, j, 0) = rho_b + rho_a [cos(2 pi i / N_x) + cos(2 pi j / N_y)]."""
     f0, f1 = _cosine_pairs(grid, rho_b, rho_a, params, init)
-    return PopulationField2D(f0=f0, f1=f1, grid=grid, t=0)
+    return PopulationField(f0=f0, f1=f1, grid=grid, t=0)
 
 
 def _collide(fld, params, path):
@@ -293,48 +298,43 @@ def _collide(fld, params, path):
         if path == "quantum":
             return collide_quantum(fld.f0, fld.f1, params)
     except PopulationRangeError as exc:
-        site = exc.index
-        if site is not None and fld.f0.ndim == 2:
-            site = tuple(int(c) for c in np.unravel_index(site, fld.f0.shape))
-        if isinstance(fld.grid, Grid2D):
-            where = f"site (i, j)={site}"
-        elif fld.f0.ndim == 2 and site is not None:
-            row, x = site
-            theta = (params if isinstance(params, CollisionParams) else params[row]).theta
-            where = f"theta row {row} (theta={theta!r}), site x={x}"
-        else:
-            where = f"site x={site}"
+        rank = len(fld.grid.shape)
+        index = tuple(int(c) for c in np.unravel_index(exc.index, fld.f0.shape))
+        row, site = index[:-rank], index[-rank:]
+        where = f"site x={site[0]}" if rank == 1 else f"site (i, j)={site}"
+        if row:
+            theta = (params if isinstance(params, CollisionParams) else params[row[0]]).theta
+            where = f"theta row {row[0]} (theta={theta!r}), {where}"
         raise PopulationRangeError(
             f"collision failed at t={fld.t}, {where}: {exc}", exc.index, exc.value
         ) from exc
     raise ValueError(f"collision path must be 'closed_form' or 'quantum', got {path!r}")
 
 
-def stream_1d(f0, f1, reversed_streaming: bool = False) -> tuple:
-    """Streaming alone: shift population i by c_i sites (an exact permutation).
-
-    Shifts along the last axis, so each row of a (B, n_x) batch streams on its own.
-    """
+def _roll(f0, f1, shifts, reversed_streaming: bool) -> tuple:
+    """Move population i by ``shifts[i]`` (reversed: ``-shifts[i]``) sites over the trailing
+    axes, leaving a leading batch axis alone: an exact permutation."""
     sign = -1 if reversed_streaming else 1
-    return np.roll(f0, sign * C_1D[0], axis=-1), np.roll(f1, sign * C_1D[1], axis=-1)
+    axes = tuple(range(-len(shifts[0]), 0))
+    return tuple(np.roll(f, [sign * int(c) for c in s], axis=axes) for f, s in zip((f0, f1), shifts))
+
+
+def stream_1d(f0, f1, reversed_streaming: bool = False) -> tuple:
+    """Streaming alone: f0 moves one site left and f1 one site right, along the last axis."""
+    return _roll(f0, f1, ((-1,), (1,)), reversed_streaming)
 
 
 def stream_2d(f0, f1, vset: VelocitySet2D, reversed_streaming: bool = False) -> tuple:
     """Streaming alone in 2D: shift population i by its integer shift pair."""
-    sign = -1 if reversed_streaming else 1
-    (n0, m0), (n1, m1) = vset.shifts
-    return (
-        np.roll(f0, (sign * int(n0), sign * int(m0)), axis=(0, 1)),
-        np.roll(f1, (sign * int(n1), sign * int(m1)), axis=(0, 1)),
-    )
+    return _roll(f0, f1, vset.shifts, reversed_streaming)
 
 
 def step_1d(
-    fld: PopulationField1D,
+    fld: PopulationField,
     params: CollisionParams,
     collision: str = "closed_form",
     reversed_streaming: bool = False,
-) -> PopulationField1D:
+) -> PopulationField:
     """One collision + streaming step with periodic wraparound.
 
     Default streaming moves population i by c_i sites (c0 = -1,
@@ -345,20 +345,20 @@ def step_1d(
     """
     g0, g1 = _collide(fld, params, collision)
     f0, f1 = stream_1d(g0, g1, reversed_streaming)
-    return PopulationField1D(f0=f0, f1=f1, grid=fld.grid, t=fld.t + 1)
+    return PopulationField(f0=f0, f1=f1, grid=fld.grid, t=fld.t + 1)
 
 
 def step_2d(
-    fld: PopulationField2D,
+    fld: PopulationField,
     params: CollisionParams,
     vset: VelocitySet2D,
     collision: str = "closed_form",
     reversed_streaming: bool = False,
-) -> PopulationField2D:
+) -> PopulationField:
     """One 2D step: same collision as 1D, streaming by integer shifts."""
     g0, g1 = _collide(fld, params, collision)
     f0, f1 = stream_2d(g0, g1, vset, reversed_streaming)
-    return PopulationField2D(f0=f0, f1=f1, grid=fld.grid, t=fld.t + 1)
+    return PopulationField(f0=f0, f1=f1, grid=fld.grid, t=fld.t + 1)
 
 
 def predicted_coefficients_2d(

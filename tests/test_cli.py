@@ -99,6 +99,13 @@ class TestValidation:
             ("viscosity-sweep", "visc", "sweep.T=-3", "sweep.T"),
             ("viscosity-sweep", "visc", "sweep.T=0", "sweep.T"),
             ("steepness-sweep", "steep", "steepness.count=-2", "steepness.count"),
+            ("simulate2d", "2d", "velocity_set.shifts=[[8,0],[0,0]]", "velocity_set"),
+            ("simulate2d", "2d", "velocity_set.shifts=[[1,0],[9,0]]", "velocity_set"),
+            ("simulate1d", "1d", "grid.n_x=1", "grid"),
+            ("simulate1d", "1d", "grid.length_x=0", "grid"),
+            ("simulate2d", "2d", "grid.ds=-1", "grid"),
+            ("viscosity-sweep", "visc", "sweep.n_x=1", "sweep.n_x"),
+            ("steepness-sweep", "steep", "steepness.length_x=-1", "steepness"),
         ],
     )
     def test_bad_value_exits_one_naming_key(self, tmp_path, capsys, command, cfg, override, key):
@@ -510,6 +517,37 @@ class TestCheckedInConfigs:
             "fig8_set4_t20.csv": "d94deb16c5eb9a64932204102c6aa96726b65fb85826ef7d604db597c882d43f",
             "fig8_set4_t40.csv": "2d5204f4b4d1c271ac016aba67caf307ee3aeebc4fbce447f25833301124a7aa",
         }
+
+    @pytest.mark.parametrize(
+        "overrides, rc, div_step, n_csv, digest",
+        [
+            ([], 0, None, 65, "2192e35aabefa00bfebea06c9f07b5b68f6acc769637ca2bf5a40baf337a4af7"),
+            (
+                ["fdm.c_s=60", "fdm.substeps=1"],
+                2,
+                49,
+                7,
+                "b92602bc6fc983ee75523d745a008a7f48e7622fd9a9bf1199c92c707412f425",
+            ),
+        ],
+    )
+    def test_fdm1d_bytes_pinned(self, tmp_path, overrides, rc, div_step, n_csv, digest):
+        # one sha256 over the names and bytes of every fdm1d snapshot of fig4,
+        # in step order: with auto substeps, and a run that diverges
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--override", "model=fdm1d"]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(["fdm1d", "--config", str(CONFIGS / "fig4.yaml"), *args]) == rc
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["divergence_step"] == div_step
+        paths = sorted(out.glob("*.csv"), key=lambda p: int(p.stem.rsplit("_t", 1)[1]))
+        assert len(paths) == n_csv
+        sha = hashlib.sha256()
+        for path in paths:
+            sha.update(path.name.encode())
+            sha.update(path.read_bytes())
+        assert sha.hexdigest() == digest
 
 
 class TestConsoleEntryPoint:

@@ -89,6 +89,27 @@ class TestExperimentalViscosity:
         est = experimental_viscosity(trace, params)
         assert est.value == pytest.approx(coeffs.nu, rel=0.05)
 
+    def test_blocks_equal_whole_trace_formula(self):
+        # 600 step pairs span three blocks; the steps are offset so that a
+        # block that indexed steps from its own start would show
+        grid = lattice_grid(64)
+        params = CollisionParams(theta=1.3)
+        run = run_qlg_1d(grid, params, 1.0, 0.005, steps=600, stride=1)
+        trace = DensityTrace(rho=run.rho, steps=run.steps + 1000, grid=grid)
+        est = experimental_viscosity(trace, params)
+        rho, a = trace.rho, params.alpha()
+        cur, fwd, bwd = rho[:-1], np.roll(rho[:-1], -1, axis=1), np.roll(rho[:-1], 1, axis=1)
+        num = rho[1:] - cur - a * (cur - 1.0) * (fwd - cur)
+        den = bwd - 2.0 * cur + fwd
+        expected = []
+        for k in range(num.shape[0]):
+            valid = np.abs(den[k]) >= 1e-12
+            e = num[k, valid] / den[k, valid]
+            expected.append(float(e[np.abs(e - e.mean()) <= e.std()].mean()))
+        np.testing.assert_array_equal(est.steps, trace.steps[:-1])
+        scale = grid.dx**2 / grid.dt
+        assert est.per_step.tobytes() == (scale * np.asarray(expected)).tobytes()
+
     def test_requires_consecutive_snapshots(self):
         grid = lattice_grid(32)
         trace = run_qlg_1d(grid, P3, 1.0, 0.01, steps=10, stride=2)

@@ -92,6 +92,27 @@ class TestGrids:
             Grid2D(n_x=4, n_y=1, ds=1.0)
 
 
+class TestFieldShape:
+    @pytest.mark.parametrize(
+        "grid, f0_shape, f1_shape",
+        [
+            (Grid1D(n_x=8, length_x=1.0), (7,), (7,)),
+            (Grid1D(n_x=8, length_x=1.0), (8,), (3, 8)),
+            (Grid1D(n_x=8, length_x=1.0), (3, 8), (2, 8)),
+            (Grid2D(n_x=4, n_y=4, ds=1.0), (4, 3), (4, 3)),
+            (Grid2D(n_x=4, n_y=4, ds=1.0), (4, 4), (4, 5)),
+            (Grid2D(n_x=4, n_y=4, ds=1.0), (4,), (4,)),
+            (Grid2D(n_x=4, n_y=4, ds=1.0), (16,), (16,)),
+        ],
+    )
+    def test_shape_not_matching_grid_rejected(self, grid, f0_shape, f1_shape):
+        from qlgburgers.lattice import PopulationField2D
+
+        field = PopulationField1D if isinstance(grid, Grid1D) else PopulationField2D
+        with pytest.raises(ValueError, match="does not match grid"):
+            field(f0=np.full(f0_shape, 0.5), f1=np.full(f1_shape, 0.5), grid=grid)
+
+
 class TestVelocitySets:
     def test_named_sets(self):
         assert velocity_set_by_name("axis_symmetric") is AXIS_SYMMETRIC
@@ -303,6 +324,18 @@ class TestStep1D:
         fld = PopulationField2D(f0=f0, f1=np.full((4, 4), 0.5), grid=g, t=3)
         with pytest.raises(PopulationRangeError, match=r"t=3.*\(2, 1\)"):
             step_2d(fld, P3, ORTHOGONAL)
+
+    def test_2d_range_error_names_step_and_site(self):
+        from qlgburgers.collision import PopulationRangeError
+        from qlgburgers.lattice import PopulationField2D
+
+        g = Grid2D(n_x=5, n_y=6, ds=1.0)
+        f1 = np.full((5, 6), 0.5)
+        f1[3, 4] = 1.7
+        fld = PopulationField2D(f0=np.full((5, 6), 0.5), f1=f1, grid=g, t=9)
+        message = r"^collision failed at t=9, site \(i, j\)=\(3, 4\): population f1 out of"
+        with pytest.raises(PopulationRangeError, match=message):
+            step_2d(fld, P3, TRIANGULAR)
 
     def test_determinism(self):
         g = Grid1D(n_x=64, length_x=2.0)
