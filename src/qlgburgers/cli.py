@@ -283,12 +283,18 @@ def _build_setup(resolved):
     grid = _built("grid", Grid2D if "n_y" in g else Grid1D, **g)
     params = _built("collision", CollisionParams, **resolved["collision"])
     vset = _build_vset(resolved["velocity_set"]) if "velocity_set" in resolved else None
-    if vset is not None and not np.any(np.subtract(*vset.shifts[::-1]) % grid.shape):
-        raise ConfigError(
-            f"config key 'velocity_set' invalid: shifts {vset.shifts!r} differ by a multiple "
-            f"of the grid {grid.shape}, so both populations stream alike"
-        )
+    if vset is not None:
+        _check_streams_differ("velocity_set", vset.shifts, grid.shape)
     return grid, params, vset
+
+
+def _check_streams_differ(key, shifts, shape):
+    """Reject a lattice on which ``c1 - c0`` is a multiple of the grid: nothing is transported."""
+    if not np.any(np.subtract(*shifts[::-1]) % shape):
+        raise ConfigError(
+            f"config key '{key}' invalid: shifts {shifts!r} differ by a multiple "
+            f"of the grid {shape}, so both populations stream alike"
+        )
 
 
 def _analytic_config(resolved, grid, params, nu_variant):
@@ -352,9 +358,11 @@ def _cmd_simulate(resolved, outdir, timings):
     from .collision import predicted_coefficients_1d
     from .experiments import _qlg_snapshots
     from .io import snapshot_filename, write_snapshot_1d, write_snapshot_2d
-    from .lattice import predicted_coefficients_2d
+    from .lattice import _SHIFTS_1D, predicted_coefficients_2d
 
     grid, params, vset = _build_setup(resolved)
+    if vset is None:
+        _check_streams_differ("grid.n_x", _SHIFTS_1D, grid.shape)
     write = write_snapshot_1d if vset is None else write_snapshot_2d
     with _timed(timings, "simulate"):
         # write each snapshot when it is produced, then drop it, so the steps up
@@ -448,8 +456,10 @@ def _cmd_analytic(resolved, outdir, timings):
 def _cmd_viscosity_sweep(resolved, outdir, timings):
     from .experiments import viscosity_sweep
     from .io import write_rows_csv
+    from .lattice import _SHIFTS_1D
 
     sw = resolved["sweep"]
+    _check_streams_differ("sweep.n_x", _SHIFTS_1D, (sw["n_x"],))
     thetas = np.linspace(sw["theta_start"], sw["theta_stop"], sw["count"])
     with _timed(timings, "sweep"):
         rows = viscosity_sweep(
@@ -474,11 +484,12 @@ def _cmd_viscosity_sweep(resolved, outdir, timings):
 def _cmd_steepness_sweep(resolved, outdir, timings):
     from .experiments import steepness_sweep
     from .io import write_rows_csv
-    from .lattice import Grid1D
+    from .lattice import _SHIFTS_1D, Grid1D
 
     sp = resolved["steepness"]
     for n_x in sp["n_x_values"]:
         _built("steepness", Grid1D, n_x=n_x, length_x=sp["length_x"])
+        _check_streams_differ("steepness.n_x_values", _SHIFTS_1D, (n_x,))
     thetas = np.linspace(sp["theta_start"], sp["theta_stop"], sp["count"])
     with _timed(timings, "sweep"):
         rows = steepness_sweep(

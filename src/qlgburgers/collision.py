@@ -13,6 +13,12 @@ population arguments, and never mutate their inputs.  :func:`omega` and
 :func:`collide_closed_form` also take a sequence of parameter sets, one
 per leading row of the populations, so a sweep collides every angle in
 one call with each row's arithmetic unchanged.
+
+Every population entering :func:`prepare_cell` or :func:`omega`, and
+every one leaving :func:`collide_closed_form`, is range-checked on every
+site.  The check costs one min and one max reduction per array; the
+elementwise mask that names the first bad site is built only when the
+check fails, and the clip runs only when a value lies outside [0, 1].
 """
 
 from __future__ import annotations
@@ -43,8 +49,12 @@ __all__ = [
 # symmetric limit (rho/2, rho/2) to avoid 0/0.
 ALPHA_SYMMETRIC_CUTOFF = 1e-8
 
-# Populations may stray this far outside [0, 1] from round-off; anything
-# worse is treated as invalid input rather than clamped away.
+# Populations may stray this far outside [0, 1] from round-off and are
+# clipped back onto it; anything worse, and any NaN or infinity, is
+# treated as invalid input rather than clamped away.  The collision maps
+# [0, 1]^2 into itself, so after a checked start only round-off reaches
+# this band; the checks stay on every step because they are cheap and a
+# corrupted field must stop the run where it happened.
 RANGE_TOL = 1e-12
 
 
@@ -100,23 +110,33 @@ class PdeCoefficients1D:
     nu_yepez: float
 
 
-def _check_populations(f0, f1):
-    for name, f in (("f0", np.asarray(f0, dtype=float)), ("f1", np.asarray(f1, dtype=float))):
+def _in_unit_range(f, name):
+    """``f`` as a float array, checked against [0, 1] and snapped onto it.
+
+    One min/max pass decides: NaN propagates through both reductions and
+    +-inf fails the bounds, so it accepts exactly the inputs whose every
+    element is finite and within :data:`RANGE_TOL` of [0, 1].  Only a
+    failure builds the elementwise mask, to name the first bad element.
+    The clip runs only when a value lies outside [0, 1]; inside, it would
+    be the identity (``-0.0`` included), so skipping it keeps the bytes.
+    """
+    f = np.asarray(f, dtype=float)
+    if not f.size:
+        return f
+    lo = np.minimum.reduce(f, axis=None)
+    hi = np.maximum.reduce(f, axis=None)
+    if not (lo >= -RANGE_TOL and hi <= 1.0 + RANGE_TOL):
         bad = (f < -RANGE_TOL) | (f > 1.0 + RANGE_TOL) | ~np.isfinite(f)
-        if np.any(bad):
-            idx = int(np.argmax(bad.ravel()))
-            val = float(f.ravel()[idx])
-            raise PopulationRangeError(
-                f"population {name} out of [0, 1]: {val!r} at flat index {idx}",
-                index=idx,
-                value=val,
-            )
-
-
-def _clip01(f):
-    # Snap round-off-level excursions back onto [0, 1]; real violations
-    # were already rejected by _check_populations.
-    return np.clip(f, 0.0, 1.0)
+        idx = int(np.argmax(bad.ravel()))
+        val = float(f.ravel()[idx])
+        raise PopulationRangeError(
+            f"population {name} out of [0, 1]: {val!r} at flat index {idx}",
+            index=idx,
+            value=val,
+        )
+    if lo < 0.0 or hi > 1.0:
+        return np.clip(f, 0.0, 1.0)
+    return f
 
 
 def build_collision_unitary(params: CollisionParams) -> np.ndarray:
@@ -143,9 +163,8 @@ def prepare_cell(f0, f1) -> np.ndarray:
     non-negative, and measuring the number operators recovers
     ``(f0, f1)`` exactly.
     """
-    _check_populations(f0, f1)
-    f0 = _clip01(np.asarray(f0, dtype=float))
-    f1 = _clip01(np.asarray(f1, dtype=float))
+    f0 = _in_unit_range(f0, "f0")
+    f1 = _in_unit_range(f1, "f1")
     amps = np.stack(
         [
             np.sqrt((1.0 - f0) * (1.0 - f1)),
@@ -226,11 +245,24 @@ def omega(f0, f1, params):
     row of populations of shape (B, ...); every row then equals the call
     with its own parameter set bit for bit.
     """
-    _check_populations(f0, f1)
-    f0 = _clip01(np.asarray(f0, dtype=float))
-    f1 = _clip01(np.asarray(f1, dtype=float))
+    f0 = _in_unit_range(f0, "f0")
+    f1 = _in_unit_range(f1, "f1")
     s2, cross = _angle_terms(params, f0.shape)
-    out = (f0 - f1) * s2 + cross * np.sqrt(f0 * (1.0 - f0) * f1 * (1.0 - f1))
+    if f0.shape != f1.shape:
+        f0, f1 = np.broadcast_arrays(f0, f1)
+    # (f0 - f1) s2 + cross sqrt(((f0 (1 - f0)) f1) (1 - f1)) in two buffers, each
+    # product in the association above; + and * commute exactly, so the
+    # order of operands does not change a bit
+    out = np.subtract(1.0, f1, out=np.empty(f0.shape))
+    root = np.subtract(1.0, f0, out=np.empty(f0.shape))
+    np.multiply(root, f0, out=root)
+    np.multiply(root, f1, out=root)
+    np.multiply(root, out, out=root)
+    np.sqrt(root, out=root)
+    np.multiply(root, cross, out=root)
+    np.subtract(f0, f1, out=out)
+    np.multiply(out, s2, out=out)
+    np.add(out, root, out=out)
     if out.ndim == 0:
         return float(out)
     return out
@@ -249,10 +281,12 @@ def collide_closed_form(f0, f1, params) -> tuple:
     """
     om = omega(f0, f1, params)
     g0 = np.asarray(f0, dtype=float) - om
-    g1 = np.asarray(f1, dtype=float) + om
-    _check_populations(g0, g1)
-    g0 = _clip01(g0)
-    g1 = _clip01(g1)
+    if isinstance(om, np.ndarray):  # this call's own buffer
+        g1 = np.add(f1, om, out=om)
+    else:
+        g1 = np.asarray(f1, dtype=float) + om
+    g0 = _in_unit_range(g0, "f0")
+    g1 = _in_unit_range(g1, "f1")
     if g0.ndim == 0:
         return float(g0), float(g1)
     return g0, g1
@@ -292,8 +326,8 @@ def equilibrium(rho, params: CollisionParams) -> tuple:
         gap = (p - q) / (2.0 * a)
         f0 = rho_arr / 2.0 - gap
         f1 = rho_arr / 2.0 + gap
-    f0 = _clip01(f0)
-    f1 = _clip01(f1)
+    f0 = np.clip(f0, 0.0, 1.0)
+    f1 = np.clip(f1, 0.0, 1.0)
     if f0.ndim == 0:
         return float(f0), float(f1)
     return f0, f1

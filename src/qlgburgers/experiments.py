@@ -377,20 +377,25 @@ def experimental_viscosity(
         bwd = np.roll(cur, 1, axis=1)
         num = rho[first + 1 : stop + 1] - cur + sign * a * (cur - 1.0) * (fwd - cur)
         den = bwd - 2.0 * cur + fwd
+        valid = np.abs(den) >= DENOMINATOR_GUARD
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = num / den
         for k in range(num.shape[0]):
-            valid = np.abs(den[k]) >= DENOMINATOR_GUARD
-            if not np.any(valid):
+            # numpy's own mean and std arithmetic (one pairwise sum each,
+            # divided by the count) on the compacted step, without its wrappers
+            est = ratio[k][valid[k]]
+            if not est.size:
                 n_skipped += 1
                 continue
-            est = num[k, valid] / den[k, valid]
-            mean = est.mean()
-            std = est.std()
-            keep = np.abs(est - mean) <= filter_sigmas * std
-            if not np.any(keep):
+            mean = np.add.reduce(est) / est.size
+            dev = est - mean
+            std = np.sqrt(np.add.reduce(dev * dev) / est.size)
+            kept = est[np.abs(dev) <= filter_sigmas * std]
+            if not kept.size:
                 n_skipped += 1
                 continue
-            n_kept += int(np.count_nonzero(keep))
-            per_step.append(float(est[keep].mean()))
+            n_kept += kept.size
+            per_step.append(float(np.add.reduce(kept) / kept.size))
             used_steps.append(int(trace.steps[first + k]))
 
     scale = trace.grid.dx ** 2 / trace.grid.dt

@@ -311,6 +311,10 @@ def _collide(fld, params, path):
     raise ValueError(f"collision path must be 'closed_form' or 'quantum', got {path!r}")
 
 
+# The integer shifts of f0 and f1 on a 1D lattice.
+_SHIFTS_1D = ((-1,), (1,))
+
+
 def _roll(f0, f1, shifts, reversed_streaming: bool) -> tuple:
     """Move population i by ``shifts[i]`` (reversed: ``-shifts[i]``) sites over the trailing
     axes, leaving a leading batch axis alone: an exact permutation."""
@@ -321,7 +325,7 @@ def _roll(f0, f1, shifts, reversed_streaming: bool) -> tuple:
 
 def stream_1d(f0, f1, reversed_streaming: bool = False) -> tuple:
     """Streaming alone: f0 moves one site left and f1 one site right, along the last axis."""
-    return _roll(f0, f1, ((-1,), (1,)), reversed_streaming)
+    return _roll(f0, f1, _SHIFTS_1D, reversed_streaming)
 
 
 def stream_2d(f0, f1, vset: VelocitySet2D, reversed_streaming: bool = False) -> tuple:

@@ -106,6 +106,11 @@ class TestValidation:
             ("simulate2d", "2d", "grid.ds=-1", "grid"),
             ("viscosity-sweep", "visc", "sweep.n_x=1", "sweep.n_x"),
             ("steepness-sweep", "steep", "steepness.length_x=-1", "steepness"),
+            ("simulate1d", "1d", "grid.n_x=2", "grid.n_x"),
+            ("simulate1d", "fig4", "grid.n_x=2", "grid.n_x"),
+            ("viscosity-sweep", "visc", "sweep.n_x=2", "sweep.n_x"),
+            ("steepness-sweep", "steep", "steepness.n_x_values=[8,2]", "steepness.n_x_values"),
+            ("steepness-sweep", "steep", "steepness.n_x_values=[2]", "steepness.n_x_values"),
         ],
     )
     def test_bad_value_exits_one_naming_key(self, tmp_path, capsys, command, cfg, override, key):
@@ -137,6 +142,15 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"'{key}" in err
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["fdm1d", "analytic"])
+    def test_two_sites_accepted_without_a_lattice(self, tmp_path, command):
+        # on two sites the lattice's shifts -1 and +1 coincide, but these commands stream nothing
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--override", f"model={command}", "--override", "grid.n_x=2"]
+        args += ["--override", "steps=4", "--override", "snapshot_stride=2"]
+        assert main([command, "--config", str(CONFIGS / "fig4.yaml"), *args]) == 0
+        assert len(list(out.glob("*.csv"))) == 3
 
     def test_bad_enum_choice(self, tmp_path, capsys):
         cfg = small_1d_config(collision_path="magic")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlgburgers import collision
 from qlgburgers.collision import (
     RANGE_TOL,
     CollisionParams,
@@ -367,3 +368,169 @@ class TestPredictedCoefficients:
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
             predicted_coefficients_1d(CollisionParams(theta=1.0), -1.0, 1.0)
+
+
+# The collision as it was before the fused range check: a full elementwise
+# mask check of both populations, then an unconditional clip, at every site.
+def reference_check(f0, f1):
+    for name, f in (("f0", np.asarray(f0, dtype=float)), ("f1", np.asarray(f1, dtype=float))):
+        bad = (f < -RANGE_TOL) | (f > 1.0 + RANGE_TOL) | ~np.isfinite(f)
+        if np.any(bad):
+            idx = int(np.argmax(bad.ravel()))
+            val = float(f.ravel()[idx])
+            raise PopulationRangeError(
+                f"population {name} out of [0, 1]: {val!r} at flat index {idx}",
+                index=idx,
+                value=val,
+            )
+
+
+def reference_omega(f0, f1, params):
+    reference_check(f0, f1)
+    f0 = np.clip(np.asarray(f0, dtype=float), 0.0, 1.0)
+    f1 = np.clip(np.asarray(f1, dtype=float), 0.0, 1.0)
+    s2, cross = collision._angle_terms(params, f0.shape)
+    out = (f0 - f1) * s2 + cross * np.sqrt(f0 * (1.0 - f0) * f1 * (1.0 - f1))
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def reference_collide(f0, f1, params, omega_fn=reference_omega):
+    om = omega_fn(f0, f1, params)
+    g0 = np.asarray(f0, dtype=float) - om
+    g1 = np.asarray(f1, dtype=float) + om
+    reference_check(g0, g1)
+    g0 = np.clip(g0, 0.0, 1.0)
+    g1 = np.clip(g1, 0.0, 1.0)
+    if g0.ndim == 0:
+        return float(g0), float(g1)
+    return g0, g1
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` did: its exact error, or the type, shape and bytes of its result."""
+    try:
+        result = fn(*args)
+    except PopulationRangeError as exc:
+        return ("raised", type(exc), str(exc), exc.index, np.float64(exc.value).tobytes())
+    parts = result if isinstance(result, tuple) else (result,)
+    return tuple((type(r), np.shape(r), np.asarray(r).dtype, np.asarray(r).tobytes()) for r in parts)
+
+
+BAD_VALUES = (math.nan, math.inf, -math.inf, -2e-12, 1.0 + 2e-12)
+P_CHECK = CollisionParams(theta=1.1, zeta=0.3, xi=-0.2)
+
+
+class TestFusedRangeCheck:
+    """The one min/max pass accepts, rejects, names and clips exactly as the mask check did."""
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("where", (0, 13, 29))
+    @pytest.mark.parametrize("which", (0, 1))
+    def test_bad_input_raises_as_before(self, value, where, which):
+        pops = [RNG.uniform(0, 1, size=(3, 10)), RNG.uniform(0, 1, size=(3, 10))]
+        pops[which].flat[where] = value
+        expected = outcome(reference_collide, *pops, P_CHECK)
+        assert expected[0] == "raised" and expected[3] == where
+        assert expected[2].startswith(f"population f{which} ")
+        assert outcome(collide_closed_form, *pops, P_CHECK) == expected
+        assert outcome(omega, *pops, P_CHECK) == outcome(reference_omega, *pops, P_CHECK)
+        assert outcome(prepare_cell, *pops) == outcome(reference_check, *pops)
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("where", (0, 13, 29))
+    @pytest.mark.parametrize("which", (0, 1))
+    def test_bad_output_raises_as_before(self, monkeypatch, value, where, which):
+        # omega is replaced by one that drives output population `which` to `value` at `where`
+        # (the other one may leave the range too, and then f0 is named first, as before)
+        f0 = np.full((3, 10), 0.5)
+        f1 = np.full((3, 10), 0.5)
+        f0.flat[where] = f1.flat[where] = 1.0 if value > 1.0 else 0.0
+        om = np.zeros((3, 10))
+        om.flat[where] = f0.flat[where] - value if which == 0 else value - f1.flat[where]
+        fake = lambda a, b, p: om.copy()  # noqa: E731
+        expected = outcome(reference_collide, f0, f1, P_CHECK, fake)
+        assert expected[0] == "raised" and expected[3] == where
+        monkeypatch.setattr(collision, "omega", fake)
+        assert outcome(collide_closed_form, f0, f1, P_CHECK) == expected
+
+    @pytest.mark.parametrize("value, snapped", [(-5e-13, 0.0), (1.0 + 5e-13, 1.0), (-1e-12, 0.0)])
+    def test_round_off_is_clipped_exactly(self, monkeypatch, value, snapped):
+        f0 = RNG.uniform(0, 1, size=7)
+        f1 = RNG.uniform(0, 1, size=7)
+        f0[3] = f1[5] = value
+        assert outcome(omega, f0, f1, P_CHECK) == outcome(reference_omega, f0, f1, P_CHECK)
+        assert outcome(prepare_cell, f0, f1) == outcome(
+            prepare_cell, np.clip(f0, 0, 1), np.clip(f1, 0, 1)
+        )
+        f0[2] = f1[4] = 0.0 if value < 0.0 else 1.0  # so that the outputs below are exact
+        om = np.zeros(7)
+        om[2], om[4] = f0[2] - value, value - f1[4]
+        fake = lambda a, b, p: om.copy()  # noqa: E731
+        expected = outcome(reference_collide, f0, f1, P_CHECK, fake)
+        monkeypatch.setattr(collision, "omega", fake)
+        g0, g1 = collide_closed_form(f0, f1, P_CHECK)
+        assert g0[2] == snapped and g1[4] == snapped and g0[3] == snapped
+        assert outcome(collide_closed_form, f0, f1, P_CHECK) == expected
+
+    def test_in_range_values_come_back_bit_identical(self, monkeypatch):
+        f0 = np.array([-0.0, 0.0, 1.0, 0.25, -0.0, 0.75])
+        f1 = np.array([0.5, -0.0, 0.0, 1.0, -0.0, 0.125])
+        assert outcome(omega, f0, f1, P_CHECK) == outcome(reference_omega, f0, f1, P_CHECK)
+        assert outcome(collide_closed_form, f0, f1, P_CHECK) == outcome(
+            reference_collide, f0, f1, P_CHECK
+        )
+        # a zero collision term returns the populations themselves, signed zeros included
+        fake = lambda a, b, p: np.zeros(6)  # noqa: E731
+        monkeypatch.setattr(collision, "omega", fake)
+        g0, _ = collide_closed_form(f0, f1, P_CHECK)
+        assert g0.tobytes() == f0.tobytes()
+        assert g0.tobytes() == reference_collide(f0, f1, P_CHECK, fake)[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "f0, f1, params",
+        [
+            (0.3, 0.6, P_CHECK),
+            (np.float64(0.3), 0.6, P_CHECK),
+            (np.asarray(0.3), np.asarray(0.6), P_CHECK),
+            (np.asarray(-5e-13), np.asarray(1.0 + 5e-13), P_CHECK),
+            (np.asarray(1.0 + 2e-12), np.asarray(0.5), P_CHECK),
+            (np.asarray(0.5), np.asarray(math.nan), P_CHECK),
+            (np.empty(0), np.empty(0), P_CHECK),
+            (np.empty((0, 4)), np.empty((0, 4)), P_CHECK),
+            (0.25, np.array([0.1, 0.9, 1.0 + 5e-13]), P_CHECK),
+            (
+                RNG.uniform(0, 1, size=(3, 16)),
+                RNG.uniform(0, 1, size=(3, 16)),
+                [CollisionParams(theta=t) for t in (0.2, 1.0, math.pi / 2)],
+            ),
+            ([[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], [0.7, 0.8]], [P_CHECK, P_CHECK]),
+        ],
+    )
+    def test_input_kinds_behave_as_before(self, f0, f1, params):
+        assert outcome(collide_closed_form, f0, f1, params) == outcome(
+            reference_collide, f0, f1, params
+        )
+        assert outcome(omega, f0, f1, params) == outcome(reference_omega, f0, f1, params)
+
+    @given(
+        st.lists(
+            st.one_of(
+                pops,
+                st.floats(min_value=-1.5e-12, max_value=0.0),
+                st.floats(min_value=1.0, max_value=1.0 + 1.5e-12),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+        thetas,
+        angles,
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_collide_equals_reference(self, values, theta, zeta, rnd):
+        f0 = np.array(values)
+        f1 = np.array(rnd.sample(values, len(values)))
+        p = CollisionParams(theta=theta, zeta=zeta)
+        assert outcome(collide_closed_form, f0, f1, p) == outcome(reference_collide, f0, f1, p)

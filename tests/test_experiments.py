@@ -44,6 +44,30 @@ class TestDensityTrace:
         np.testing.assert_allclose(tr.times(), [0.0, 2 * g.dt, 4 * g.dt])
 
 
+def reference_viscosity(trace, alpha, sign=-1.0, filter_sigmas=1.0):
+    """The estimator's per-step loop on numpy's mean/std, over the whole trace at once."""
+    rho = trace.rho
+    cur, fwd, bwd = rho[:-1], np.roll(rho[:-1], -1, axis=1), np.roll(rho[:-1], 1, axis=1)
+    num = rho[1:] - cur + sign * alpha * (cur - 1.0) * (fwd - cur)
+    den = bwd - 2.0 * cur + fwd
+    per_step, steps, n_kept, n_skipped = [], [], 0, 0
+    for k in range(num.shape[0]):
+        valid = np.abs(den[k]) >= 1e-12
+        if not np.any(valid):
+            n_skipped += 1
+            continue
+        est = num[k, valid] / den[k, valid]
+        keep = np.abs(est - est.mean()) <= filter_sigmas * est.std()
+        if not np.any(keep):
+            n_skipped += 1
+            continue
+        n_kept += int(np.count_nonzero(keep))
+        per_step.append(float(est[keep].mean()))
+        steps.append(int(trace.steps[k]))
+    scale = trace.grid.dx**2 / trace.grid.dt
+    return scale * np.asarray(per_step), np.asarray(steps), n_kept / num.size, n_skipped
+
+
 class TestExperimentalViscosity:
     def test_calibration_on_fdm_trace(self):
         # ground-truth: reference solver with known (c_s, nu); the
@@ -109,6 +133,47 @@ class TestExperimentalViscosity:
         np.testing.assert_array_equal(est.steps, trace.steps[:-1])
         scale = grid.dx**2 / grid.dt
         assert est.per_step.tobytes() == (scale * np.asarray(expected)).tobytes()
+
+    @pytest.mark.parametrize(
+        "theta, n_x, rho_a, variant, sigmas",
+        [
+            (0.08, 64, 0.005, "pde_consistent", 1.0),
+            (0.8, 64, 0.005, "pde_consistent", 1.0),
+            (1.3, 64, 0.005, "pde_consistent", 1.0),
+            (math.pi / 2, 64, 0.005, "pde_consistent", 1.0),
+            (1.2, 63, 0.005, "pde_consistent", 1.0),
+            (1.3, 64, 0.0, "pde_consistent", 1.0),
+            (1.0, 64, 0.005, "pde_consistent", 0.0),
+            (1.0, 33, 0.3, "literal", 1.0),
+            (1.3, 64, 0.005, "literal", 2.5),
+        ],
+    )
+    def test_equals_numpy_mean_and_std_bitwise(self, theta, n_x, rho_a, variant, sigmas):
+        # 300 step pairs span two blocks; fig3's bytes rest on these per-step sums
+        params = CollisionParams(theta=theta)
+        trace = run_qlg_1d(lattice_grid(n_x), params, 1.0, rho_a, steps=300, stride=1)
+        est = experimental_viscosity(trace, params, variant=variant, filter_sigmas=sigmas)
+        sign = 1.0 if variant == "literal" else -1.0
+        per_step, steps, kept, skipped = reference_viscosity(trace, params.alpha(), sign, sigmas)
+        assert est.per_step.tobytes() == per_step.tobytes()
+        assert est.steps.tobytes() == steps.tobytes()
+        assert (est.kept_fraction, est.n_skipped_steps) == (kept, skipped)
+        if rho_a == 0.0:
+            assert skipped == 300 and est.value is None
+        if sigmas == 0.0:  # every step passes the guard and then keeps no point
+            assert skipped == 300 and reference_viscosity(trace, params.alpha())[3] == 0
+
+    def test_reductions_equal_numpy_mean_and_std(self):
+        # the estimator's sums are numpy's own _mean/_var arithmetic; a numpy
+        # that changes either would show here before it moves fig3's bytes
+        rng = np.random.default_rng(7)
+        for n in range(1, 201):
+            for x in (rng.normal(0.07, 0.3, n), rng.uniform(-1e3, 1e3, n)):
+                mean = np.add.reduce(x) / n
+                dev = x - mean
+                std = np.sqrt(np.add.reduce(dev * dev) / n)
+                assert mean.tobytes() == x.mean().tobytes()
+                assert std.tobytes() == x.std().tobytes()
 
     def test_requires_consecutive_snapshots(self):
         grid = lattice_grid(32)
