@@ -32,130 +32,124 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config schema.  Leaves are (type, default); REQUIRED marks a mandatory
-# key, and enums are validated with _choice after resolution.
+# Config schema.  Leaves are (type, default[, rule]); REQUIRED marks a
+# mandatory key.  A rule is the tuple of allowed values, or the smallest
+# integer (of each entry, for a list).  _resolve applies every rule.
 
 REQUIRED = object()
+
+
+def _only(model):
+    return (str, model, (model,))  # each command accepts its own model name alone
+
 
 _GRID_1D = {"n_x": (int, REQUIRED), "length_x": (float, REQUIRED)}
 _GRID_2D = {"n_x": (int, REQUIRED), "n_y": (int, REQUIRED), "ds": (float, 1.0)}
 _COLLISION = {"theta": (float, REQUIRED), "zeta": (float, 0.0), "xi": (float, 0.0)}
-_INITIAL = {"rho_b": (float, REQUIRED), "rho_a": (float, REQUIRED), "mode": (str, "equilibrium")}
+_INITIAL = {
+    "rho_b": (float, REQUIRED),
+    "rho_a": (float, REQUIRED),
+    "mode": (str, "equilibrium", ("equilibrium", "symmetric")),
+}
 _VSET = {
     "name": (str, ""),
     "shifts": (list, None),
     "basis": (list, None),
 }
-_FDM = {"substeps": (object, "auto")}
+_FDM = {"substeps": (object, "auto", 1)}
 # Sections shared by the commands that set up a cosine run on a grid.
 _SETUP_1D = {"grid": _GRID_1D, "collision": _COLLISION, "initial": _INITIAL}
 _SETUP_2D = {"grid": _GRID_2D, "collision": _COLLISION, "initial": _INITIAL, "velocity_set": _VSET}
-_SNAPSHOTS = {"steps": (int, REQUIRED), "snapshot_stride": (int, 1)}
-_LATTICE = {"collision_path": (str, "closed_form"), "streaming": (str, "standard")}
+_SNAPSHOTS = {"steps": (int, REQUIRED, 0), "snapshot_stride": (int, 1, 1)}
+_LATTICE = {
+    "collision_path": (str, "closed_form", ("closed_form", "quantum")),
+    "streaming": (str, "standard", ("standard", "reversed")),
+}
 
 SCHEMAS = {
     "simulate1d": {
-        "model": (str, "d1q2"),
+        "model": _only("d1q2"),
         "run_id": (str, REQUIRED),
         **_SETUP_1D,
         **_SNAPSHOTS,
         **_LATTICE,
     },
     "simulate2d": {
-        "model": (str, "d2q2"),
+        "model": _only("d2q2"),
         "run_id": (str, REQUIRED),
         **_SETUP_2D,
         **_SNAPSHOTS,
         **_LATTICE,
     },
     "fdm1d": {
-        "model": (str, "fdm1d"),
+        "model": _only("fdm1d"),
         "run_id": (str, REQUIRED),
         **_SETUP_1D,
         **_SNAPSHOTS,
-        "fdm": {**_FDM, "c_s": (object, None), "nu": (object, None)},
+        "fdm": {**_FDM, "c_s": (float, None), "nu": (float, None)},
     },
     "fdm2d": {
-        "model": (str, "fdm2d"),
+        "model": _only("fdm2d"),
         "run_id": (str, REQUIRED),
         **_SETUP_2D,
         **_SNAPSHOTS,
         "fdm": _FDM,
     },
     "analytic": {
-        "model": (str, "analytic"),
+        "model": _only("analytic"),
         "run_id": (str, REQUIRED),
         **_SETUP_1D,
         **_SNAPSHOTS,
-        "analytic": {"l_trunc": (int, 80), "nu_variant": (str, "corrected")},
+        "analytic": {
+            "l_trunc": (int, 80, 1),
+            "nu_variant": (str, "corrected", ("corrected", "yepez")),
+        },
     },
     "viscosity-sweep": {
-        "model": (str, "viscosity-sweep"),
+        "model": _only("viscosity-sweep"),
         "run_id": (str, REQUIRED),
         "collision": {"zeta": (float, 0.0), "xi": (float, 0.0)},
         "sweep": {
             "theta_start": (float, 0.05),
             "theta_stop": (float, REQUIRED),
-            "count": (int, 30),
-            "T": (int, 200),
-            "n_x": (int, 64),
+            "count": (int, 30, 1),
+            "T": (int, 200, 1),
+            "n_x": (int, 64, 2),
             "rho_a": (float, 0.005),
             "rho_b": (float, 1.0),
-            "variant": (str, "pde_consistent"),
+            "variant": (str, "pde_consistent", ("pde_consistent", "literal")),
         },
     },
     "steepness-sweep": {
-        "model": (str, "steepness-sweep"),
+        "model": _only("steepness-sweep"),
         "run_id": (str, REQUIRED),
         "collision": {"zeta": (float, 0.0), "xi": (float, 0.0)},
         "steepness": {
             "theta_start": (float, 0.2),
             "theta_stop": (float, REQUIRED),
-            "count": (int, 12),
-            "T_values": (list, [200]),
-            "n_x_values": (list, [64]),
+            "count": (int, 12, 1),
+            "T_values": (list, [200], 0),
+            "n_x_values": (list, [64], 2),
             "length_x": (float, 2.0),
             "rho_a": (float, 0.4),
             "rho_b": (float, 1.0),
         },
     },
     "compare-analytic": {
-        "model": (str, "compare-analytic"),
+        "model": _only("compare-analytic"),
         "run_id": (str, REQUIRED),
         **_SETUP_1D,
-        "analytic": {"l_trunc": (int, 80)},
+        "analytic": {"l_trunc": (int, 80, 1)},
         "compare": {"input": (str, REQUIRED), "input_run_id": (str, REQUIRED)},
     },
     "compare-2d": {
-        "model": (str, "compare-2d"),
+        "model": _only("compare-2d"),
         "run_id": (str, REQUIRED),
         **_SETUP_2D,
         **_SNAPSHOTS,
         **_LATTICE,
         "fdm": _FDM,
     },
-}
-
-_CHOICES = {
-    "initial.mode": ("equilibrium", "symmetric"),
-    "collision_path": ("closed_form", "quantum"),
-    "streaming": ("standard", "reversed"),
-    "analytic.nu_variant": ("corrected", "yepez"),
-    "sweep.variant": ("pde_consistent", "literal"),
-}
-
-# Smallest value of an integer key, or of each entry of a list key;
-# fdm.substeps may also be 'auto'.
-_MINIMA = {
-    "steps": 0,
-    "snapshot_stride": 1,
-    "fdm.substeps": 1,
-    "sweep.count": 1,
-    "sweep.T": 1,
-    "sweep.n_x": 2,
-    "steepness.count": 1,
-    "steepness.T_values": 0,
-    "steepness.n_x_values": 2,
 }
 
 
@@ -173,7 +167,7 @@ def _resolve(cfg, schema, path=""):
             sub = cfg.get(key, {})
             out[key] = _resolve(sub if sub is not None else {}, spec, where)
             continue
-        typ, default = spec
+        typ, default, *rule = spec
         if key in cfg and cfg[key] is not None:
             val = cfg[key]
             if typ is float and isinstance(val, (int, float)) and not isinstance(val, bool):
@@ -192,39 +186,26 @@ def _resolve(cfg, schema, path=""):
             raise ConfigError(f"missing required config key '{where}'")
         else:
             out[key] = default
+        if not rule:
+            continue
+        if isinstance(rule[0], tuple):
+            if out[key] not in rule[0]:
+                raise ConfigError(f"config key '{where}' must be one of {rule[0]}, got {out[key]!r}")
+        else:
+            _check_minimum(where, out[key], rule[0])
     return out
 
 
-def _check_minimum(where, value):
-    if where == "fdm.substeps" and value in (None, "auto"):
+def _check_minimum(where, value, minimum):
+    if where == "fdm.substeps" and value == "auto":
         return
     entries = value if isinstance(value, list) else [value]
     if not entries or any(
-        isinstance(v, bool) or not isinstance(v, int) or v < _MINIMA[where] for v in entries
+        isinstance(v, bool) or not isinstance(v, int) or v < minimum for v in entries
     ):
         kind = "a non-empty list of integers" if isinstance(value, list) else "an integer"
         also = " or 'auto'" if where == "fdm.substeps" else ""
-        raise ConfigError(
-            f"config key '{where}' must be {kind} >= {_MINIMA[where]}{also}, got {value!r}"
-        )
-
-
-def _check_choices(resolved):
-    """Check the enum keys against their choices and the bounded keys against their minima."""
-
-    def walk(d, path=""):
-        for k, v in d.items():
-            where = f"{path}.{k}" if path else k
-            if isinstance(v, dict):
-                walk(v, where)
-            elif where in _CHOICES and v not in _CHOICES[where]:
-                raise ConfigError(
-                    f"config key '{where}' must be one of {_CHOICES[where]}, got {v!r}"
-                )
-            elif where in _MINIMA:
-                _check_minimum(where, v)
-
-    walk(resolved)
+        raise ConfigError(f"config key '{where}' must be {kind} >= {minimum}{also}, got {value!r}")
 
 
 def _apply_overrides(cfg, overrides):
@@ -232,7 +213,10 @@ def _apply_overrides(cfg, overrides):
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not of the form key=value")
         key, _, raw = item.partition("=")
-        value = yaml.safe_load(raw)
+        try:
+            value = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config key '{key}' override {raw!r} is not valid YAML") from exc
         node = cfg
         parts = key.split(".")
         for part in parts[:-1]:
@@ -247,10 +231,10 @@ def _apply_overrides(cfg, overrides):
 # Builders from resolved config sections.
 
 
-def _built(key, build, **kwargs):
-    """``build(**kwargs)``; its ValueError is raised again as a config error naming ``key``."""
+def _built(key, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; its ValueError is raised again as a config error naming ``key``."""
     try:
-        return build(**kwargs)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"config key '{key}' invalid: {exc}") from exc
 
@@ -264,14 +248,8 @@ def _build_vset(section):
         return _built("velocity_set.name", velocity_set_by_name, name=section["name"])
     if section["shifts"] is None:
         raise ConfigError("config key 'velocity_set' needs a name or explicit shifts")
-    basis = section["basis"] if section["basis"] is not None else ((1.0, 0.0), (0.0, 1.0))
-    return _built(
-        "velocity_set",
-        VelocitySet2D,
-        shifts=tuple(tuple(s) for s in section["shifts"]),
-        basis=tuple(tuple(b) for b in basis),
-        name="custom",
-    )
+    given = {key: section[key] for key in ("shifts", "basis") if section[key] is not None}
+    return _built("velocity_set", VelocitySet2D, **given, name="custom")
 
 
 def _build_setup(resolved):
@@ -300,20 +278,21 @@ def _check_streams_differ(key, shifts, shape):
 def _analytic_config(resolved, grid, params, nu_variant):
     from .experiments import analytic_config_for
 
-    ini = resolved["initial"]
-    return analytic_config_for(
-        grid,
-        params,
-        ini["rho_b"],
-        ini["rho_a"],
-        nu_variant=nu_variant,
-        l_trunc=resolved["analytic"]["l_trunc"],
-    )
+    ini, l_trunc = resolved["initial"], resolved["analytic"]["l_trunc"]
+    args = (grid, params, ini["rho_b"], ini["rho_a"], nu_variant, l_trunc)
+    # the other keys are checked by now: only theta can leave the viscosity <= 0
+    return _built("collision.theta", analytic_config_for, *args)
 
 
-def _run_args(resolved):
-    """Keyword arguments of a lattice-gas run from the initial, step and streaming keys."""
+def _run_args(resolved, grid):
+    """Keyword arguments of a lattice-gas run from the initial, step and streaming keys.
+
+    The cosine start must keep every site's density in [0, 2]; a config error names ``initial``.
+    """
+    from .lattice import _check_cosine_range
+
     ini = resolved["initial"]
+    _built("initial", _check_cosine_range, len(grid.shape), ini["rho_b"], ini["rho_a"])
     return {
         "rho_b": ini["rho_b"],
         "rho_a": ini["rho_a"],
@@ -367,7 +346,7 @@ def _cmd_simulate(resolved, outdir, timings):
     with _timed(timings, "simulate"):
         # write each snapshot when it is produced, then drop it, so the steps up
         # to the next snapshot hold no field beyond their own
-        for t, fld in _qlg_snapshots(grid, params, vset, **_run_args(resolved)):
+        for t, fld in _qlg_snapshots(grid, params, vset, **_run_args(resolved, grid)):
             write(outdir / snapshot_filename(resolved["run_id"], t), fld)
             del fld
     if vset is None:
@@ -395,13 +374,13 @@ def _fdm_setup(resolved, grid, params, vset):
     else:
         predicted = predicted_coefficients_1d(params, grid.dx, grid.dt)
         fdm = resolved["fdm"]
-        c_s = predicted.c_s if fdm["c_s"] is None else float(fdm["c_s"])
-        nu = predicted.nu if fdm["nu"] is None else float(fdm["nu"])
+        c_s = predicted.c_s if fdm["c_s"] is None else fdm["c_s"]
+        nu = predicted.nu if fdm["nu"] is None else fdm["nu"]
         solver, coeffs, ds = (c_s, nu), _axis_aligned(c_s, nu), grid.dx
     substeps = resolved["fdm"]["substeps"]
-    if substeps in (None, "auto"):
-        return solver, substeps_auto(coeffs, ds, grid.dt)
-    return solver, int(substeps)
+    if substeps == "auto":
+        substeps = _built("fdm.substeps", substeps_auto, coeffs=coeffs, ds=ds, dt=grid.dt)
+    return solver, substeps
 
 
 def _cmd_fdm(resolved, outdir, timings):
@@ -453,6 +432,24 @@ def _cmd_analytic(resolved, outdir, timings):
     return {"nu": cfg.nu, "bessel_argument": cfg.amplitude, "l_trunc": cfg.l_trunc}
 
 
+def _sweep_angles(resolved, key, check_ends):
+    """The angles of sweep section ``key``, after the checks that every angle shares.
+
+    A bad phase pair or initial density fails the whole sweep, not each of its rows.
+    ``check_ends`` makes the ends of the range valid angles too (one end for one angle).
+    """
+    from .collision import CollisionParams
+    from .lattice import _check_cosine_range
+
+    sw, phases = resolved[key], resolved["collision"]
+    _built("collision", CollisionParams, theta=math.pi / 2, **phases)
+    _built(key, _check_cosine_range, 1, sw["rho_b"], sw["rho_a"])
+    if check_ends:
+        for end in ("theta_start", "theta_stop")[: sw["count"]]:
+            _built(f"{key}.{end}", CollisionParams, theta=sw[end], **phases)
+    return np.linspace(sw["theta_start"], sw["theta_stop"], sw["count"])
+
+
 def _cmd_viscosity_sweep(resolved, outdir, timings):
     from .experiments import viscosity_sweep
     from .io import write_rows_csv
@@ -460,18 +457,10 @@ def _cmd_viscosity_sweep(resolved, outdir, timings):
 
     sw = resolved["sweep"]
     _check_streams_differ("sweep.n_x", _SHIFTS_1D, (sw["n_x"],))
-    thetas = np.linspace(sw["theta_start"], sw["theta_stop"], sw["count"])
+    thetas = _sweep_angles(resolved, "sweep", check_ends=False)
     with _timed(timings, "sweep"):
-        rows = viscosity_sweep(
-            thetas,
-            sw["T"],
-            n_x=sw["n_x"],
-            rho_a=sw["rho_a"],
-            rho_b=sw["rho_b"],
-            zeta=resolved["collision"]["zeta"],
-            xi=resolved["collision"]["xi"],
-            variant=sw["variant"],
-        )
+        args = (thetas, sw["T"], sw["n_x"], sw["rho_a"], sw["rho_b"])
+        rows = viscosity_sweep(*args, **resolved["collision"], variant=sw["variant"])
     write_rows_csv(
         outdir / f"{resolved['run_id']}_sweep.csv",
         ("theta", "nu_pred", "nu_yepez", "nu_exp", "kept_fraction", "T"),
@@ -490,18 +479,10 @@ def _cmd_steepness_sweep(resolved, outdir, timings):
     for n_x in sp["n_x_values"]:
         _built("steepness", Grid1D, n_x=n_x, length_x=sp["length_x"])
         _check_streams_differ("steepness.n_x_values", _SHIFTS_1D, (n_x,))
-    thetas = np.linspace(sp["theta_start"], sp["theta_stop"], sp["count"])
+    thetas = _sweep_angles(resolved, "steepness", check_ends=True)
     with _timed(timings, "sweep"):
-        rows = steepness_sweep(
-            thetas,
-            sp["T_values"],
-            n_x_list=sp["n_x_values"],
-            length_x=sp["length_x"],
-            rho_a=sp["rho_a"],
-            rho_b=sp["rho_b"],
-            zeta=resolved["collision"]["zeta"],
-            xi=resolved["collision"]["xi"],
-        )
+        args = (thetas, sp["T_values"], sp["n_x_values"], sp["length_x"], sp["rho_a"], sp["rho_b"])
+        rows = steepness_sweep(*args, **resolved["collision"])
     write_rows_csv(
         outdir / f"{resolved['run_id']}_steepness.csv",
         ("theta", "n_x", "T", "delta"),
@@ -548,7 +529,7 @@ def _cmd_compare_2d(resolved, outdir, timings):
 
     grid, params, vset = _build_setup(resolved)
     solver, substeps = _fdm_setup(resolved, grid, params, vset)
-    run = _run_args(resolved)
+    run = _run_args(resolved, grid)
     with _timed(timings, "qlg"):
         qlg = run_qlg_2d(grid, params, vset, **run)
     with _timed(timings, "fdm"):
@@ -619,13 +600,6 @@ def main(argv=None) -> int:
     try:
         raw = _apply_overrides(raw, args.override)
         resolved = _resolve(raw, SCHEMAS[args.command])
-        _check_choices(resolved)
-        expected = SCHEMAS[args.command]["model"][1]  # the default is the only valid model
-        if resolved["model"] != expected:
-            raise ConfigError(
-                f"config key 'model' is {resolved['model']!r} but command "
-                f"'{args.command}' expects {expected!r}"
-            )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -105,6 +105,11 @@ def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float) -> np.ndarray:
     return _euler(rho, coeffs, ds, dt)
 
 
+# The largest substep count per lattice step that substeps_auto returns: a
+# larger one is a run that would not end, not a stability bound to honour.
+_MAX_AUTO_SUBSTEPS = 10**6
+
+
 def substeps_auto(coeffs, ds: float, dt: float, drift_bound: float = 1.0) -> int:
     """Number of substeps needed for a stable explicit update.
 
@@ -112,14 +117,19 @@ def substeps_auto(coeffs, ds: float, dt: float, drift_bound: float = 1.0) -> int
     <= 1/2 (d = a + (1 - rho) b, with |1 - rho| <= ``drift_bound``)
     with the von Neumann bound dt <= 2 D_ii / d_i^2 per axis, which
     governs central advection-diffusion stability.  Returns 1 when the
-    bounds already hold for the full step.
+    bounds already hold for the full step; a ValueError when the count
+    is not finite or exceeds ``_MAX_AUTO_SUBSTEPS``.
     """
     a, b, d = coeffs.a, coeffs.b, coeffs.D
     drift = np.abs(a) + drift_bound * np.abs(b)
     eigmax = float(np.max(np.linalg.eigvalsh(d))) if np.any(d) else 0.0
     k_cfl = (float(np.sum(drift)) * dt / ds + 2.0 * eigmax * dt / (ds * ds)) / 0.5
     k_vn = 0.0
-    for axis in range(2):
-        if d[axis, axis] > 0.0:
-            k_vn = max(k_vn, dt * drift[axis] ** 2 / (2.0 * d[axis, axis]))
-    return max(1, int(math.ceil(max(k_cfl, k_vn))))
+    with np.errstate(over="ignore"):  # an overflow is an infinite count, rejected below
+        for axis in range(2):
+            if d[axis, axis] > 0.0:
+                k_vn = max(k_vn, dt * drift[axis] ** 2 / (2.0 * d[axis, axis]))
+    k = max(k_cfl, k_vn)
+    if not k <= _MAX_AUTO_SUBSTEPS:  # false for NaN too
+        raise ValueError(f"stability needs {float(k):.6g} substeps per step, over {_MAX_AUTO_SUBSTEPS}")
+    return max(1, int(math.ceil(k)))

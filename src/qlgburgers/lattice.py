@@ -65,8 +65,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n_x < 2:
             raise ValueError(f"n_x must be >= 2, got {self.n_x}")
-        if self.length_x <= 0:
-            raise ValueError(f"length_x must be positive, got {self.length_x}")
+        if not (self.length_x > 0 and 0 < self.dt < math.inf):
+            raise ValueError(f"length_x must be positive with a finite dt = dx^2 > 0, got {self.length_x}")
 
     @property
     def dx(self) -> float:
@@ -103,8 +103,8 @@ class Grid2D:
     def __post_init__(self):
         if self.n_x < 2 or self.n_y < 2:
             raise ValueError(f"n_x and n_y must be >= 2, got {self.n_x}, {self.n_y}")
-        if self.ds <= 0:
-            raise ValueError(f"ds must be positive, got {self.ds}")
+        if not (self.ds > 0 and 0 < self.dt < math.inf):
+            raise ValueError(f"ds must be positive with a finite dt = ds^2 > 0, got {self.ds}")
 
     @property
     def dt(self) -> float:
@@ -138,18 +138,17 @@ class VelocitySet2D:
     name: str = ""
 
     def __post_init__(self):
-        if len(self.shifts) != 2 or any(len(s) != 2 for s in self.shifts):
-            raise ValueError(f"shifts must be two integer pairs, got {self.shifts!r}")
-        for s in self.shifts:
-            if any(int(v) != v for v in s):
-                raise ValueError(f"streaming shifts must be integers, got {self.shifts!r}")
-        if tuple(self.shifts[0]) == tuple(self.shifts[1]):
+        shifts, basis = _finite_pairs(self.shifts, "shifts"), _finite_pairs(self.basis, "basis")
+        # the bound keeps every shift exact in the int64 arithmetic of streaming
+        if np.any(shifts != np.round(shifts)) or np.any(np.abs(shifts) >= 2**31):
+            raise ValueError(f"shifts must be integers of magnitude below 2**31, got {self.shifts!r}")
+        if np.array_equal(shifts[0], shifts[1]):
             raise ValueError(f"the two streaming shifts must differ, got {self.shifts!r}")
-        e = np.asarray(self.basis, dtype=float)
-        if e.shape != (2, 2):
-            raise ValueError(f"basis must be two 2D vectors, got {self.basis!r}")
-        if abs(np.linalg.det(e)) < 1e-12:
+        if abs(np.linalg.det(basis)) < 1e-12:
             raise ValueError(f"basis vectors are linearly dependent: {self.basis!r}")
+        # given as any nested sequences of numbers, kept as tuples of ints and floats
+        object.__setattr__(self, "shifts", tuple(map(tuple, shifts.astype(int).tolist())))
+        object.__setattr__(self, "basis", tuple(map(tuple, basis.tolist())))
 
     def cartesian(self) -> tuple:
         """Cartesian velocity vectors (c0, c1)."""
@@ -164,6 +163,17 @@ class VelocitySet2D:
         the integer shifts.
         """
         return VelocitySet2D(shifts=self.shifts, name=self.name + "@index" if self.name else "")
+
+
+def _finite_pairs(value, what):
+    """``value`` as a 2x2 float array; a ValueError unless it is two pairs of finite numbers."""
+    try:
+        pairs = np.asarray(value)  # strings, None, mappings and huge integers: not kind "iuf"
+    except ValueError:  # ragged
+        pairs = np.asarray(None)
+    if pairs.dtype.kind not in "iuf" or pairs.shape != (2, 2) or not np.all(np.isfinite(pairs)):
+        raise ValueError(f"{what} must be two pairs of finite numbers, got {value!r}")
+    return pairs.astype(float)
 
 
 AXIS_SYMMETRIC = VelocitySet2D(shifts=((-1, 0), (1, 0)), name="axis_symmetric")
@@ -245,11 +255,16 @@ def _cosine_density(grid, rho_b: float, rho_a: float) -> np.ndarray:
     return rho_b + rho_a * (np.cos(2.0 * math.pi * i / grid.n_x) + np.cos(2.0 * math.pi * j / grid.n_y))
 
 
-def _cosine_pairs(grid, rho_b, rho_a, params, init):
-    """Site pairs of the cosine density, after checking that it stays in [0, 2]."""
-    spread = len(grid.shape) * abs(rho_a)
+def _check_cosine_range(rank, rho_b, rho_a):
+    """Reject a cosine density on ``rank`` axes that leaves [0, 2], the densities of a site pair."""
+    spread = rank * abs(rho_a)
     if not (rho_b - spread >= 0.0 and rho_b + spread <= 2.0):  # false for NaN too
         raise ValueError(f"initial density range [{rho_b - spread}, {rho_b + spread}] leaves [0, 2]")
+
+
+def _cosine_pairs(grid, rho_b, rho_a, params, init):
+    """Site pairs of the cosine density, after checking that it stays in [0, 2]."""
+    _check_cosine_range(len(grid.shape), rho_b, rho_a)
     rho = _cosine_density(grid, rho_b, rho_a)
     if init == "equilibrium":
         return _per_row(params, lambda p: equilibrium(rho, p))

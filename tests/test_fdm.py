@@ -232,3 +232,11 @@ class TestSubstepsAuto:
     def test_strong_advection_triggers_substeps(self):
         coeffs = predicted_coefficients_2d(TRIANGULAR.index_space(), P3, 1.0, 1.0)
         assert substeps_auto(coeffs, 1.0, 1.0) >= 4
+
+    @pytest.mark.parametrize("c_s, nu", [(1e300, 0.05), (1.0, 1e300), (1e4, 1e-5)])
+    def test_unrunnable_count_rejected(self, c_s, nu):
+        # an infinite count (the square of the drift overflows) or a finite one beyond the limit
+        from qlgburgers.fdm import _axis_aligned
+
+        with pytest.raises(ValueError, match="substeps per step"):
+            substeps_auto(_axis_aligned(c_s, nu), 1.0, 1.0)

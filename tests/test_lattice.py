@@ -91,6 +91,13 @@ class TestGrids:
         with pytest.raises(ValueError):
             Grid2D(n_x=4, n_y=1, ds=1.0)
 
+    def test_rejects_time_step_out_of_range(self):
+        # dt = spacing^2 underflows to 0 or overflows to inf although the spacing is positive
+        with pytest.raises(ValueError, match="finite dt"):
+            Grid2D(n_x=4, n_y=4, ds=1e-200)
+        with pytest.raises(ValueError, match="finite dt"):
+            Grid1D(n_x=8, length_x=1e300)
+
 
 class TestFieldShape:
     @pytest.mark.parametrize(
@@ -131,6 +138,39 @@ class TestVelocitySets:
     def test_rejects_degenerate_basis(self):
         with pytest.raises(ValueError, match="dependent"):
             VelocitySet2D(shifts=((-1, 0), (1, 0)), basis=((1.0, 0.0), (2.0, 0.0)))
+
+    @pytest.mark.parametrize(
+        "shifts, basis",
+        [
+            ([1, 2], None),
+            ([[1, 0]], None),
+            ([[1, 2, 3], [0, 1]], None),
+            ([[1, 0], [0]], None),
+            ([[math.inf, 0], [0, 1]], None),
+            ([[math.nan, 0], [0, 1]], None),
+            ([["1", "0"], [0, 1]], None),
+            ([[None, 0], [0, 1]], None),
+            ([[10**30, 0], [0, 1]], None),
+            ({}, None),
+            ([[1, 0], [0, 1]], [1, 2]),
+            ([[1, 0], [0, 1]], [[math.inf, 0], [0, 1]]),
+            ([[1, 0], [0, 1]], [[math.nan, 0], [0, 1]]),
+        ],
+    )
+    def test_rejects_bad_shape_or_entry(self, shifts, basis):
+        given = {"shifts": shifts} if basis is None else {"shifts": shifts, "basis": basis}
+        with pytest.raises(ValueError, match="two pairs of finite numbers"):
+            VelocitySet2D(**given)
+
+    def test_rejects_shift_beyond_int64_arithmetic(self):
+        with pytest.raises(ValueError, match="magnitude"):
+            VelocitySet2D(shifts=((1e300, 0), (0, 1)))
+
+    def test_lists_kept_as_tuples(self):
+        vset = VelocitySet2D(shifts=[[1.0, 0], [0, -1]], basis=[[1, 0], [0.5, 2]])
+        assert vset.shifts == ((1, 0), (0, -1)) and type(vset.shifts[0][0]) is int
+        assert vset.basis == ((1.0, 0.0), (0.5, 2.0)) and type(vset.basis[0][0]) is float
+        assert vset == VelocitySet2D(shifts=((1, 0), (0, -1)), basis=((1.0, 0.0), (0.5, 2.0)))
 
 
 class TestInit:
