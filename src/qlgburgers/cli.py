@@ -466,7 +466,8 @@ def _cmd_viscosity_sweep(resolved, outdir, timings):
         ("theta", "nu_pred", "nu_yepez", "nu_exp", "kept_fraction", "T"),
         [(r.theta, r.nu_pred, r.nu_yepez, r.nu_exp, r.kept_fraction, r.T) for r in rows],
     )
-    failures = {f"{r.theta:.6g}": r.error for r in rows if r.error}
+    # keyed by the exact angle, so error rows whose angles agree to many digits stay apart
+    failures = {repr(float(r.theta)): r.error for r in rows if r.error}
     return {"failures": failures} if failures else {}
 
 

@@ -213,25 +213,41 @@ def collide_quantum(f0, f1, params: CollisionParams) -> tuple:
     return g0, g1
 
 
+# The last (params, shape, columns) of a tuple of parameter sets: a run
+# passes the same tuple on every step, and tuples of frozen parameter sets
+# cannot change, so their columns are built once per run.
+_last_columns = None
+
+
 def _angle_terms(params, shape):
     """sin^2(theta) and sin(2 theta) cos(zeta - xi) of ``params``.
 
-    For a sequence of B parameter sets each term is a float64 column of
-    shape (B, 1, ...) that broadcasts against populations of ``shape``,
-    one set per leading row.  Every entry is computed with ``math.*`` as
-    for a single set: numpy's vector sine can differ in the last bit.
+    For a sequence of B parameter sets each term is a read-only float64
+    column of shape (B, 1, ...) that broadcasts against populations of
+    ``shape``, one set per leading row.  Every entry is computed with
+    ``math.*`` as for a single set: numpy's vector sine can differ in the
+    last bit.  The columns of the last tuple seen, keyed on its identity and
+    ``shape``, are reused; any other sequence, a list say, is read afresh.
     """
+    global _last_columns
     if isinstance(params, CollisionParams):
         th = params.theta
         return math.sin(th) ** 2, math.sin(2.0 * th) * math.cos(params.zeta - params.xi)
+    last = _last_columns
+    if last is not None and last[0] is params and last[1] == shape:
+        return last[2]
     terms = np.array([_angle_terms(p, ()) for p in params], dtype=float).reshape(-1, 2)
     if shape[:1] != (len(terms),) or not terms.size:
         raise ValueError(
             f"{len(terms)} parameter sets need populations with one leading row each, "
             f"got shape {shape}"
         )
+    terms.setflags(write=False)
     column = (len(terms),) + (1,) * (len(shape) - 1)
-    return terms[:, 0].reshape(column), terms[:, 1].reshape(column)
+    columns = terms[:, 0].reshape(column), terms[:, 1].reshape(column)
+    if type(params) is tuple:
+        _last_columns = (params, shape, columns)
+    return columns
 
 
 def omega(f0, f1, params):

@@ -320,6 +320,36 @@ def _check_one_1d_run(trace: DensityTrace, name: str) -> None:
         raise ValueError(f"{name} takes the trace of one run; split a batch with trace.runs()")
 
 
+def _compact(values, mask):
+    """Move each row's masked entries of ``values`` to its front, in order.
+
+    Returns (compacted, count per row, live) with ``live`` marking each
+    row's first ``count`` columns; the columns up to the largest count are
+    kept and the rest of a row is zero.
+    """
+    count = np.count_nonzero(mask, axis=1)
+    live = np.arange(count.max(initial=0)) < count[:, None]
+    out = np.zeros(live.shape, dtype=values.dtype)
+    out[live] = values[mask]  # both row-major: row i's masked entries fill its live columns
+    return out, count, live
+
+
+def _row_sums(values, count):
+    """``np.add.reduce(values[i, :count[i]])`` for every row i, bit for bit.
+
+    Rows of equal count are summed in one call: numpy's pairwise summation
+    runs along each C-contiguous row of a 2-D reduction exactly as on the row
+    alone, so grouping changes no bit.  Entries past a row's count are never read.
+    """
+    out = np.zeros(len(count))
+    # the distinct counts; a first np.unique call adds about 1.6 MB to peak RSS
+    for n in np.flatnonzero(np.bincount(count)):
+        if n:
+            rows = np.flatnonzero(count == n)
+            out[rows] = np.add.reduce(values[rows, :n], axis=1)
+    return out
+
+
 def experimental_viscosity(
     trace: DensityTrace,
     params: CollisionParams | None = None,
@@ -348,6 +378,12 @@ def experimental_viscosity(
     the latter recovers it, so it is the default; the other form is kept
     for the sign-discrepancy study.  The result is converted to grid
     units via dx^2/dt.
+
+    The steps are processed in blocks of up to ``_BLOCK`` at once: each
+    step's valid estimates, then its kept ones, are compacted to the front
+    of its row, and the rows of equal count are summed by one reduction.
+    Every step's mean, deviation and kept mean equal numpy's ``mean`` and
+    ``std`` on that step's points alone, bit for bit.
     """
     _check_one_1d_run(trace, "experimental_viscosity")
     if trace.rho.shape[0] < 2:
@@ -372,31 +408,38 @@ def experimental_viscosity(
     n_skipped = 0
     for first in range(0, rho.shape[0] - 1, _BLOCK):
         stop = min(first + _BLOCK, rho.shape[0] - 1)
-        cur = rho[first:stop]
+        cur, nxt = rho[first:stop], rho[first + 1 : stop + 1]
+        # the formula above in its written order of operations, in reused
+        # buffers: + and * commute exactly, so no bit changes
         fwd = np.roll(cur, -1, axis=1)
-        bwd = np.roll(cur, 1, axis=1)
-        num = rho[first + 1 : stop + 1] - cur + sign * a * (cur - 1.0) * (fwd - cur)
-        den = bwd - 2.0 * cur + fwd
+        den = np.multiply(2.0, cur)
+        np.subtract(np.roll(cur, 1, axis=1), den, out=den)
+        den += fwd
+        np.subtract(fwd, cur, out=fwd)
+        num = np.subtract(cur, 1.0)
+        num *= sign * a
+        num *= fwd
+        num += np.subtract(nxt, cur, out=fwd)
         valid = np.abs(den) >= DENOMINATOR_GUARD
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = num / den
-        for k in range(num.shape[0]):
-            # numpy's own mean and std arithmetic (one pairwise sum each,
-            # divided by the count) on the compacted step, without its wrappers
-            est = ratio[k][valid[k]]
-            if not est.size:
-                n_skipped += 1
-                continue
-            mean = np.add.reduce(est) / est.size
-            dev = est - mean
-            std = np.sqrt(np.add.reduce(dev * dev) / est.size)
-            kept = est[np.abs(dev) <= filter_sigmas * std]
-            if not kept.size:
-                n_skipped += 1
-                continue
-            n_kept += kept.size
-            per_step.append(float(np.add.reduce(kept) / kept.size))
-            used_steps.append(int(trace.steps[first + k]))
+            np.divide(num, den, out=num, where=valid)
+        # numpy's own mean and std arithmetic (one pairwise sum each, divided
+        # by the count) on the compacted estimates of every step of the block
+        # at once; no arithmetic reads a step's columns past its count
+        est, count, live = _compact(num, valid)
+        del fwd, den, num  # before the statistics' buffers, to keep peak memory down
+        size = np.maximum(count, 1)
+        mean = _row_sums(est, count) / size
+        dev = np.subtract(est, mean[:, None], out=np.zeros_like(est), where=live)
+        std = np.sqrt(_row_sums(dev * dev, count) / size)
+        kept = np.abs(dev, out=dev) <= filter_sigmas * std[:, None]
+        kept &= live
+        kept, kept_count, _ = _compact(est, kept)
+        used = np.flatnonzero(kept_count)  # steps with no valid or no kept point are skipped
+        n_skipped += len(count) - len(used)
+        n_kept += int(kept_count.sum())
+        per_step.extend((_row_sums(kept, kept_count)[used] / kept_count[used]).tolist())
+        used_steps.extend(np.asarray(trace.steps)[first + used].astype(int).tolist())
 
     scale = trace.grid.dx ** 2 / trace.grid.dt
     value = scale * float(np.mean(per_step)) if per_step else None

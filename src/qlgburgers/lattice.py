@@ -20,6 +20,7 @@ lattices, each row bit for bit as it would run alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -332,10 +333,37 @@ _SHIFTS_1D = ((-1,), (1,))
 
 def _roll(f0, f1, shifts, reversed_streaming: bool) -> tuple:
     """Move population i by ``shifts[i]`` (reversed: ``-shifts[i]``) sites over the trailing
-    axes, leaving a leading batch axis alone: an exact permutation."""
+    axes, leaving a leading batch axis alone: an exact permutation.
+
+    Equals ``np.roll`` bit for bit, without its per-call axis normalisation:
+    each population is copied into one new array by slice copies, two along
+    each shifted trailing axis (at most four in 2D), whose slices are worked
+    out once per shift and grid shape.
+    """
     sign = -1 if reversed_streaming else 1
-    axes = tuple(range(-len(shifts[0]), 0))
-    return tuple(np.roll(f, [sign * int(c) for c in s], axis=axes) for f, s in zip((f0, f1), shifts))
+    out = []
+    for f, shift in zip((f0, f1), shifts):
+        f = np.asarray(f)
+        moved = np.empty_like(f)
+        for dst, src in _slice_copies(shift, sign, f.shape[-len(shift) :]):
+            moved[dst] = f[src]
+        out.append(moved)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _slice_copies(shift, sign, shape):
+    """(destination, source) index pairs that move an array whose trailing axes have
+    ``shape`` periodically by ``sign * shift[k]`` sites along axis k."""
+    copies = (((...,), (...,)),)
+    for c, n in zip(shift, shape):
+        c = sign * int(c) % n if n else 0
+        if c:
+            parts = ((slice(c, None), slice(None, n - c)), (slice(None, c), slice(n - c, None)))
+        else:
+            parts = ((slice(None), slice(None)),)
+        copies = tuple((dst + (d,), src + (s,)) for dst, src in copies for d, s in parts)
+    return copies
 
 
 def stream_1d(f0, f1, reversed_streaming: bool = False) -> tuple:

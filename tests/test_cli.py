@@ -652,6 +652,20 @@ class TestCheckedInConfigs:
             raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
             _resolve(raw, SCHEMAS[command])
 
+    def test_sweep_manifest_lists_every_failed_angle(self, tmp_path):
+        # four angles just above pi/2 agree to 7 digits; each error row keeps its own entry
+        out = tmp_path / "out"
+        overrides = ["sweep.theta_start=1.5707964", "sweep.theta_stop=1.5707965"]
+        overrides += ["sweep.count=4", "sweep.T=5"]
+        argv = ["viscosity-sweep", "--config", str(CONFIGS / "fig3_long.yaml"), "--out", str(out)]
+        assert main(argv + [arg for o in overrides for arg in ("--override", o)]) == 0
+        rows = (out / "fig3_long_sweep.csv").read_text().splitlines()[1:]
+        failures = json.loads((out / "manifest.json").read_text())["results"]["failures"]
+        thetas = np.linspace(1.5707964, 1.5707965, 4)
+        assert len(rows) == 4 and all(",nan,nan,,0,5" in row for row in rows)
+        assert list(failures) == [repr(float(t)) for t in thetas]
+        assert all("theta must lie in (0, pi/2]" in why for why in failures.values())
+
     def test_fig4_config_runs_reduced(self, tmp_path):
         out = tmp_path / "out"
         rc = main(

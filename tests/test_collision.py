@@ -215,6 +215,40 @@ class TestCollide:
         with pytest.raises(ValueError, match="one CollisionParams"):
             collide_quantum(np.full((2, 5), 0.5), np.full((2, 5), 0.5), params)
 
+    def test_angle_columns_of_a_mutated_list_are_fresh(self):
+        # only a tuple's columns are reused; a list can change between calls
+        f0, f1 = RNG.uniform(0, 1, size=(2, 7)), RNG.uniform(0, 1, size=(2, 7))
+        params = [CollisionParams(theta=0.4), CollisionParams(theta=1.1)]
+        first = omega(f0, f1, params)
+        params[1] = CollisionParams(theta=0.2, zeta=0.5)
+        second = omega(f0, f1, params)
+        assert second[0].tobytes() == first[0].tobytes()
+        assert second[1].tobytes() == omega(f0[1], f1[1], params[1]).tobytes()
+        assert second[1].tobytes() != first[1].tobytes()
+
+    def test_cached_tuple_equals_uncached_bitwise(self):
+        params = tuple(sample_params(5))
+        f0, f1 = RNG.uniform(0, 1, size=(5, 11)), RNG.uniform(0, 1, size=(5, 11))
+        fresh = omega(f0, f1, list(params))
+        cached = [omega(f0, f1, params) for _ in range(3)]  # the later calls reuse the columns
+        for om in cached:
+            assert om.tobytes() == fresh.tobytes()
+        columns = collision._angle_terms(params, f0.shape)
+        assert collision._angle_terms(params, f0.shape) is columns
+        singles = np.array([collision._angle_terms(p, ()) for p in params])
+        for column, single in zip(columns, singles.T):
+            assert column.shape == (5, 1) and not column.flags.writeable
+            assert column.ravel().tobytes() == single.tobytes()
+
+    def test_cached_tuple_still_checks_shape(self):
+        params = (CollisionParams(theta=1.0), CollisionParams(theta=1.2))
+        omega(np.full((2, 5), 0.5), np.full((2, 5), 0.5), params)
+        for shape in ((3, 5), (5,)):
+            with pytest.raises(ValueError, match="one leading row each"):
+                omega(np.full(shape, 0.5), np.full(shape, 0.5), params)
+        g0, _ = collide_closed_form(np.full((2, 4), 0.3), np.full((2, 4), 0.6), params)
+        assert g0.shape == (2, 4)
+
     def test_phase_invariance_of_both_paths(self):
         # (zeta, xi) enter only through zeta - xi
         base = CollisionParams(theta=0.9, zeta=0.2, xi=1.1)

@@ -1,9 +1,12 @@
 """Estimator and comparison tests, including the sign-convention calibration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlgburgers.collision import CollisionParams, predicted_coefficients_1d
 from qlgburgers.experiments import (
@@ -21,6 +24,7 @@ from qlgburgers.experiments import (
     shock_steepness,
     steepness_sweep,
     viscosity_sweep,
+    _row_sums,
 )
 from qlgburgers.analytic import evaluate_on_grid
 from qlgburgers.lattice import AXIS_SYMMETRIC, Grid1D, Grid2D, predicted_coefficients_2d
@@ -146,13 +150,19 @@ class TestExperimentalViscosity:
             (1.0, 64, 0.005, "pde_consistent", 0.0),
             (1.0, 33, 0.3, "literal", 1.0),
             (1.3, 64, 0.005, "literal", 2.5),
+            (1.3, 129, 0.005, "pde_consistent", 1.0),
+            (1.1, 300, 0.005, "pde_consistent", 1.0),
         ],
     )
     def test_equals_numpy_mean_and_std_bitwise(self, theta, n_x, rho_a, variant, sigmas):
-        # 300 step pairs span two blocks; fig3's bytes rest on these per-step sums
+        # 300 step pairs span two blocks; fig3's bytes rest on these per-step sums.
+        # n_x 129 and 300 put more than numpy's 128-element pairwise block in a
+        # step; no case may warn, the ones where every step is skipped included
         params = CollisionParams(theta=theta)
         trace = run_qlg_1d(lattice_grid(n_x), params, 1.0, rho_a, steps=300, stride=1)
-        est = experimental_viscosity(trace, params, variant=variant, filter_sigmas=sigmas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = experimental_viscosity(trace, params, variant=variant, filter_sigmas=sigmas)
         sign = 1.0 if variant == "literal" else -1.0
         per_step, steps, kept, skipped = reference_viscosity(trace, params.alpha(), sign, sigmas)
         assert est.per_step.tobytes() == per_step.tobytes()
@@ -162,6 +172,35 @@ class TestExperimentalViscosity:
             assert skipped == 300 and est.value is None
         if sigmas == 0.0:  # every step passes the guard and then keeps no point
             assert skipped == 300 and reference_viscosity(trace, params.alpha())[3] == 0
+
+    def test_skipped_and_kept_steps_mix_in_one_block(self):
+        # pairs of snapshots, each pair one of: flat (no valid point), a ramp
+        # (valid only at the wrap), a held two-valued pattern (two estimates,
+        # so none lies within half a sigma) and sparse noise (any count)
+        rng = np.random.default_rng(16)
+        n_x, x = 40, np.arange(40)
+        rows = []
+        for kind in rng.integers(0, 4, 150):
+            if kind == 3:
+                rows += [1.0 + rng.normal(0, 0.01, n_x) * (rng.random(n_x) < 0.7) for _ in range(2)]
+            else:
+                row = (np.ones(n_x), 1.0 + 0.01 * x / n_x, 1.0 + 0.01 * (x % 2))[kind]
+                rows += [row, row]
+        trace = DensityTrace(rho=np.array(rows), steps=np.arange(300), grid=lattice_grid(n_x))
+        params = CollisionParams(theta=1.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = experimental_viscosity(trace, params, filter_sigmas=0.5)
+        per_step, steps, kept, skipped = reference_viscosity(trace, params.alpha(), -1.0, 0.5)
+        assert est.per_step.tobytes() == per_step.tobytes()
+        assert est.steps.tobytes() == steps.tobytes()
+        assert (est.kept_fraction, est.n_skipped_steps) == (kept, skipped)
+        cur = trace.rho[:256]
+        den = np.roll(cur, 1, axis=1) - 2.0 * cur + np.roll(cur, -1, axis=1)
+        n_valid = np.count_nonzero(np.abs(den) >= 1e-12, axis=1)
+        assert {0, 2, n_x} <= set(n_valid.tolist()) and len(set(n_valid.tolist())) > 5
+        first_block = steps[steps < 256]
+        assert 0 < len(first_block) and np.count_nonzero(n_valid == 0) < 256 - len(first_block)
 
     def test_reductions_equal_numpy_mean_and_std(self):
         # the estimator's sums are numpy's own _mean/_var arithmetic; a numpy
@@ -194,6 +233,48 @@ class TestExperimentalViscosity:
             experimental_viscosity(trace)
         with pytest.raises(ValueError, match="exactly one"):
             experimental_viscosity(trace, P3, alpha=0.3)
+
+
+class TestRowSums:
+    # the estimator's grouped sums equal np.add.reduce on each row alone, bit for bit;
+    # entries past a row's count hold NaN or inf and must never reach its sum
+
+    @staticmethod
+    def check(values, count):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _row_sums(values, count)
+            want = np.array([np.add.reduce(values[i, :n]) for i, n in enumerate(count)])
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    def test_counts_0_to_300_mixed_in_one_block(self):
+        rng = np.random.default_rng(16)
+        count = np.concatenate([rng.permutation(301), rng.integers(0, 301, 99)])
+        scale = 10.0 ** rng.integers(-8, 9, (len(count), 1))
+        values = rng.normal(0.0, 1.0, (len(count), 310)) * scale
+        special = rng.random(values.shape) * (np.arange(len(count)) % 2 == 1)[:, None]
+        values[special > 0.98] = -0.0
+        values[(special > 0.5) & (special < 0.502)] = np.nan
+        values[(special > 0.3) & (special < 0.303)] = np.inf
+        values[(special > 0.1) & (special < 0.103)] = -np.inf
+        values[4] = -0.0
+        tail = np.arange(values.shape[1]) >= count[:, None]
+        values[tail] = rng.choice([np.nan, np.inf, -np.inf], np.count_nonzero(tail))
+        got = self.check(values, count)
+        clean = np.arange(len(count)) % 2 == 0
+        assert np.all(np.isfinite(got[clean])) and np.all(got[count == 0] == 0.0)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.lists(st.floats(), max_size=40), min_size=1, max_size=8),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_any_floats(self, rows, pad):
+        count = np.array([len(r) for r in rows])
+        values = np.full((len(rows), int(count.max()) + 3), pad)
+        for i, r in enumerate(rows):
+            values[i, : len(r)] = r
+        self.check(values, count)
 
 
 class TestShockSteepness:

@@ -242,6 +242,69 @@ class TestStreaming:
         assert np.array_equal(f0, fld.f0) and np.array_equal(f1, fld.f1)
 
 
+class TestStreamingEqualsRoll:
+    # streaming copies slices into new arrays; np.roll is the reference, bit for bit
+    FIG8_SET4 = VelocitySet2D(shifts=((-1, 1), (1, 0)), basis=((1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)))
+
+    @staticmethod
+    def check(stream, f0, f1, rolled, *args, **kwargs):
+        before = f0.copy(), f1.copy()
+        g0, g1 = stream(f0, f1, *args, **kwargs)
+        for g, f, want in zip((g0, g1), (f0, f1), rolled):
+            assert g.dtype == f.dtype and g.shape == f.shape
+            assert g.tobytes() == want.tobytes()
+            assert not np.shares_memory(g, f)
+        assert f0.tobytes() == before[0].tobytes() and f1.tobytes() == before[1].tobytes()
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7), (5, 64), (1, 2)])
+    @pytest.mark.parametrize("reversed_streaming", [False, True])
+    def test_1d(self, shape, reversed_streaming):
+        f0, f1 = RNG.uniform(0, 1, shape), RNG.uniform(0, 1, shape)
+        sign = -1 if reversed_streaming else 1
+        rolled = np.roll(f0, -sign, axis=-1), np.roll(f1, sign, axis=-1)
+        self.check(stream_1d, f0, f1, rolled, reversed_streaming=reversed_streaming)
+
+    @pytest.mark.parametrize("vset", [AXIS_SYMMETRIC, ORTHOGONAL, TRIANGULAR, FIG8_SET4])
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 9), (2, 3)])
+    @pytest.mark.parametrize("reversed_streaming", [False, True])
+    def test_2d_sets(self, vset, shape, reversed_streaming):
+        f0, f1 = RNG.uniform(0, 1, shape), RNG.uniform(0, 1, shape)
+        sign = -1 if reversed_streaming else 1
+        rolled = tuple(
+            np.roll(f, [sign * c for c in s], axis=(0, 1)) for f, s in zip((f0, f1), vset.shifts)
+        )
+        self.check(stream_2d, f0, f1, rolled, vset, reversed_streaming=reversed_streaming)
+
+    def test_2d_random_shift_pairs(self):
+        # zero on one axis, negative, and beyond the grid in either direction
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            shape = tuple(int(n) for n in rng.integers(2, 8, 2))
+            shifts = rng.integers(-20, 21, (2, 2))
+            shifts[rng.integers(0, 2), rng.integers(0, 2)] = 0
+            if np.array_equal(shifts[0], shifts[1]):
+                continue
+            vset = VelocitySet2D(shifts=shifts.tolist())
+            f0, f1 = rng.uniform(0, 1, shape), rng.uniform(0, 1, shape)
+            for reversed_streaming in (False, True):
+                sign = -1 if reversed_streaming else 1
+                rolled = tuple(
+                    np.roll(f, [sign * int(c) for c in s], axis=(0, 1))
+                    for f, s in zip((f0, f1), vset.shifts)
+                )
+                self.check(stream_2d, f0, f1, rolled, vset, reversed_streaming=reversed_streaming)
+
+    def test_strided_input(self):
+        f0, f1 = RNG.uniform(0, 1, (9, 5)).T, RNG.uniform(0, 1, (5, 18))[:, ::2]
+        rolled = np.roll(f0, (1, 0), axis=(0, 1)), np.roll(f1, (0, -1), axis=(0, 1))
+        self.check(stream_2d, f0, f1, rolled, ORTHOGONAL)
+
+    def test_whole_periods_copy(self):
+        f0, f1 = RNG.uniform(0, 1, (4, 6)), RNG.uniform(0, 1, (4, 6))
+        vset = VelocitySet2D(shifts=((4, -12), (0, 6)))
+        self.check(stream_2d, f0, f1, (f0, f1), vset)
+
+
 class TestStep1D:
     def test_uniform_equilibrium_fixed(self):
         g = Grid1D(n_x=32, length_x=2.0)
