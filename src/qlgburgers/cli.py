@@ -466,8 +466,10 @@ def _cmd_viscosity_sweep(resolved, outdir, timings):
         ("theta", "nu_pred", "nu_yepez", "nu_exp", "kept_fraction", "T"),
         [(r.theta, r.nu_pred, r.nu_yepez, r.nu_exp, r.kept_fraction, r.T) for r in rows],
     )
-    # keyed by the exact angle, so error rows whose angles agree to many digits stay apart
-    failures = {repr(float(r.theta)): r.error for r in rows if r.error}
+    # one entry per error row, so rows with equal angles are each counted
+    failures = [
+        {"row": i, "theta": float(r.theta), "error": r.error} for i, r in enumerate(rows) if r.error
+    ]
     return {"failures": failures} if failures else {}
 
 

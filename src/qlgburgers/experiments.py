@@ -207,15 +207,17 @@ def _trace(snapshots, n_snapshots, grid, params=None) -> tuple:
 def _fdm_trace(grid, rho_b, rho_a, steps, stride, substeps, update) -> tuple:
     """Reference-solver run from the cosine start; returns (trace, divergence_step).
 
-    Each lattice step is ``substeps`` calls of ``update(rho, dt_sub)``, then the divergence check.
+    Each lattice step is ``substeps`` calls of ``update(rho, dt_sub, work)``, then the
+    divergence check; ``work`` keeps the update's buffers for this run only.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     dt_sub = grid.dt / substeps
+    work = {}
 
     def advance(rho, t):
         for _ in range(substeps):
-            rho = update(rho, dt_sub)
+            rho = update(rho, dt_sub, work)
         divergence_check(rho, rho_b, rho_a, t)
         return rho
 
@@ -288,8 +290,8 @@ def run_fdm_1d(
     trace is truncated after the last healthy snapshot.
     """
 
-    def update(rho, dt):
-        return fdm_step_1d(rho, c_s, nu, grid.dx, dt)
+    def update(rho, dt, work):
+        return fdm_step_1d(rho, c_s, nu, grid.dx, dt, work)
 
     return _fdm_trace(grid, rho_b, rho_a, steps, stride, substeps, update)
 
@@ -307,8 +309,8 @@ def run_fdm_2d(
     if substeps == "auto":
         substeps = substeps_auto(coeffs, grid.ds, grid.dt)
 
-    def update(rho, dt):
-        return fdm_step_2d(rho, coeffs, grid.ds, dt)
+    def update(rho, dt, work):
+        return fdm_step_2d(rho, coeffs, grid.ds, dt, work)
 
     return _fdm_trace(grid, rho_b, rho_a, steps, stride, int(substeps), update)
 

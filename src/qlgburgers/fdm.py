@@ -8,10 +8,19 @@ with explicit Euler in time and second-order central differences in
 space (the cross derivative uses the 4-point corner stencil), periodic
 boundaries.  The 1D equation d_t rho + c_s (1 - rho) d_x rho = nu d_xx rho
 is its case a = 0, b = (c_s, 0), D = diag(nu, 0) on a single column, whose
-y terms are exact zeros.  Each update copies the field once into an array
-with one periodic ghost cell on every side (a halo) and reads all
-neighbours, corners included, as views of that copy.  The nonlinear term
-is discretized non-conservatively, exactly as the equation is written.
+y terms are exact zeros.  The nonlinear term is discretized
+non-conservatively, exactly as the equation is written.
+
+Each update copies the (n_x, n_y) field once into a flat buffer of
+(n_x + 2) rows of w = n_y + 2, with one periodic ghost cell on every side,
+corners included.  Cell (i, j) sits at w (i + 1) + j + 1, so its x
+neighbours are w entries away, its y neighbours one, and its diagonal
+ones w + 1 and w - 1.  Every ufunc pass then runs once over the contiguous stretch
+from the first cell to the last, n_x w - 2 entries, into temporaries that
+``out=`` reuses.  The stretch takes in the ghost columns between rows;
+their entries get throwaway values and are never returned.  A run passes
+one ``work`` dict to all its updates, which keeps the buffers for as
+long as the run lasts.
 
 The scheme is intentionally plain: near shock formation it is expected
 to go unstable, which mirrors the behaviour reported for the reference
@@ -58,51 +67,109 @@ def divergence_check(rho, rho_b: float, rho_a: float, step: int):
         )
 
 
-def _periodic_halo(rho: np.ndarray) -> np.ndarray:
-    """Copy of ``rho`` with one periodic ghost cell on both sides of every axis.
-
-    Axes are wrapped in order and each wrap copies whole padded slices,
-    ghost cells of the earlier axes included, so the corners receive the
-    diagonal periodic neighbours.
-    """
-    halo = np.empty(tuple(n + 2 for n in rho.shape), dtype=rho.dtype)
-    halo[(slice(1, -1),) * rho.ndim] = rho
-    for axis in range(rho.ndim):
-        lead = (slice(None),) * axis
-        halo[lead + (0,)] = halo[lead + (-2,)]
-        halo[lead + (-1,)] = halo[lead + (1,)]
-    return halo
+def _axis_aligned_terms(c_s, nu) -> tuple:
+    """The 1D coefficients (c_s, nu) as the 2D pairs a = 0, b = (c_s, 0), D = diag(nu, 0)."""
+    return (0.0, 0.0), (c_s, 0.0), ((nu, 0.0), (0.0, 0.0))
 
 
 def _axis_aligned(c_s: float, nu: float) -> PdeCoefficients2D:
-    """The 1D coefficients (c_s, nu) as the 2D set a = 0, b = (c_s, 0), D = diag(nu, 0)."""
-    return PdeCoefficients2D(a=np.zeros(2), b=np.array([c_s, 0.0]), D=np.diag([nu, 0.0]))
+    """The set of :func:`_axis_aligned_terms` as arrays."""
+    return PdeCoefficients2D(*(np.array(t, dtype=float) for t in _axis_aligned_terms(c_s, nu)))
 
 
-def _euler(rho: np.ndarray, coeffs, ds: float, dt: float) -> np.ndarray:
-    """Explicit Euler update of the 2D equation; axis 0 of ``rho`` is x, axis 1 is y."""
-    a, b, d = coeffs.a, coeffs.b, coeffs.D
-    halo = _periodic_halo(rho)
-    xf, xb = halo[2:, 1:-1], halo[:-2, 1:-1]
-    yf, yb = halo[1:-1, 2:], halo[1:-1, :-2]
-    rx = (xf - xb) / (2.0 * ds)
-    ry = (yf - yb) / (2.0 * ds)
-    rxx = (xf - 2.0 * rho + xb) / (ds * ds)
-    ryy = (yf - 2.0 * rho + yb) / (ds * ds)
-    rxy = (halo[2:, 2:] - halo[2:, :-2] - halo[:-2, 2:] + halo[:-2, :-2]) / (4.0 * ds * ds)
-    advection = a[0] * rx + a[1] * ry + (1.0 - rho) * (b[0] * rx + b[1] * ry)
-    diffusion = d[0, 0] * rxx + d[1, 1] * ryy + 2.0 * d[0, 1] * rxy
-    return rho + dt * (-advection + diffusion)
+def _buffers(shape, work):
+    """The padded field and five temporaries for fields of ``shape``, kept in ``work`` if given."""
+    bufs = None if work is None else work.get(shape)
+    if bufs is None:
+        n_x, n_y = shape
+        bufs = np.empty((n_x + 2) * (n_y + 2)), np.empty((5, n_x * (n_y + 2)))
+        if work is not None:
+            work[shape] = bufs
+    return bufs
 
 
-def fdm_step_1d(rho: np.ndarray, c_s: float, nu: float, dx: float, dt: float) -> np.ndarray:
-    """One explicit Euler update of the 1D equation, periodic: the 2D update on one column."""
-    return _euler(rho[:, None], _axis_aligned(c_s, nu), dx, dt)[:, 0]
+def _euler(rho: np.ndarray, a, b, d, ds: float, dt: float, work=None) -> np.ndarray:
+    """Explicit Euler update of the 2D equation; axis 0 of ``rho`` is x, axis 1 is y.
+
+    ``a``, ``b`` and ``d`` are the coefficients as pairs and a pair of
+    pairs.  Each pass forms one operation of
+
+        rho + dt (-(a0 rx + a1 ry + (1 - rho)(b0 rx + b1 ry))
+                  + (d00 rxx + d11 ryy + (2 d01) rxy)),
+
+    in this association and with the quotients of the stencils below, so
+    the result is that of the whole-array expression bit for bit.
+    """
+    (a0, a1), (b0, b1), ((dxx, dxy), (_, dyy)) = a, b, d
+    n_x, n_y = rho.shape
+    w = n_y + 2
+    pad, tmp = _buffers(rho.shape, work)
+    halo = pad.reshape(n_x + 2, w)
+    halo[1:-1, 1:-1] = rho
+    halo[0, 1:-1] = halo[-2, 1:-1]
+    halo[-1, 1:-1] = halo[1, 1:-1]
+    halo[:, 0] = halo[:, -2]
+    halo[:, -1] = halo[:, 1]
+    run = n_x * w - 2
+
+    def at(offset):
+        return pad[w + 1 + offset : w + 1 + offset + run]
+
+    c, xf, xb, yf, yb = at(0), at(w), at(-w), at(1), at(-1)
+    rx, ry, p, q, r = tmp[:, :run]
+    np.subtract(xf, xb, out=rx)
+    np.divide(rx, 2.0 * ds, out=rx)  # rx = (xf - xb) / (2 ds)
+    np.subtract(yf, yb, out=ry)
+    np.divide(ry, 2.0 * ds, out=ry)  # ry
+    np.multiply(c, 2.0, out=r)  # 2 rho, for both axes
+    np.subtract(xf, r, out=p)
+    np.add(p, xb, out=p)
+    np.divide(p, ds * ds, out=p)  # rxx = (xf - 2 rho + xb) / ds^2
+    np.subtract(yf, r, out=r)
+    np.add(r, yb, out=r)
+    np.divide(r, ds * ds, out=r)  # ryy
+    np.multiply(p, dxx, out=p)
+    np.multiply(r, dyy, out=r)
+    np.add(p, r, out=p)  # d00 rxx + d11 ryy
+    np.subtract(at(w + 1), at(w - 1), out=r)
+    np.subtract(r, at(1 - w), out=r)
+    np.add(r, at(-w - 1), out=r)
+    np.divide(r, 4.0 * ds * ds, out=r)  # rxy = (pp - pm - mp + mm) / (4 ds^2)
+    np.multiply(r, 2.0 * dxy, out=r)
+    np.add(p, r, out=p)  # diffusion
+    np.multiply(rx, a0, out=q)
+    np.multiply(ry, a1, out=r)
+    np.add(q, r, out=q)  # a0 rx + a1 ry
+    np.multiply(rx, b0, out=r)
+    np.multiply(ry, b1, out=rx)
+    np.add(r, rx, out=r)  # b0 rx + b1 ry
+    np.subtract(1.0, c, out=rx)
+    np.multiply(rx, r, out=r)
+    np.add(q, r, out=q)  # advection
+    np.negative(q, out=q)
+    np.add(q, p, out=q)
+    np.multiply(q, dt, out=q)
+    return np.add(rho, tmp[3].reshape(n_x, w)[:, :n_y], out=np.empty(rho.shape))  # a new field
 
 
-def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float) -> np.ndarray:
-    """One explicit Euler update of the 2D equation, periodic; ``coeffs`` has a, b and D."""
-    return _euler(rho, coeffs, ds, dt)
+def fdm_step_1d(
+    rho: np.ndarray, c_s: float, nu: float, dx: float, dt: float, work=None
+) -> np.ndarray:
+    """One explicit Euler update of the 1D equation, periodic: the 2D update on one column.
+
+    ``work`` is an optional dict in which the update keeps its buffers
+    between calls; a run passes one to all its updates.
+    """
+    terms = _axis_aligned_terms(c_s, nu)
+    return _euler(rho[:, None], *terms, dx, dt, work)[:, 0]
+
+
+def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.ndarray:
+    """One explicit Euler update of the 2D equation, periodic; ``coeffs`` has a, b and D.
+
+    ``work`` is as for :func:`fdm_step_1d`.
+    """
+    return _euler(rho, coeffs.a, coeffs.b, coeffs.D, ds, dt, work)
 
 
 # The largest substep count per lattice step that substeps_auto returns: a

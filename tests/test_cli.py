@@ -663,8 +663,20 @@ class TestCheckedInConfigs:
         failures = json.loads((out / "manifest.json").read_text())["results"]["failures"]
         thetas = np.linspace(1.5707964, 1.5707965, 4)
         assert len(rows) == 4 and all(",nan,nan,,0,5" in row for row in rows)
-        assert list(failures) == [repr(float(t)) for t in thetas]
-        assert all("theta must lie in (0, pi/2]" in why for why in failures.values())
+        assert [(f["row"], f["theta"]) for f in failures] == list(enumerate(thetas.tolist()))
+        assert all("theta must lie in (0, pi/2]" in f["error"] for f in failures)
+
+    def test_sweep_manifest_counts_error_rows_of_equal_angles(self, tmp_path):
+        # three rows at the same angle give three error rows and three failures
+        out = tmp_path / "out"
+        overrides = ["sweep.theta_start=1.6", "sweep.theta_stop=1.6", "sweep.count=3", "sweep.T=5"]
+        argv = ["viscosity-sweep", "--config", str(CONFIGS / "fig3_long.yaml"), "--out", str(out)]
+        assert main(argv + [arg for o in overrides for arg in ("--override", o)]) == 0
+        rows = (out / "fig3_long_sweep.csv").read_text().splitlines()[1:]
+        failures = json.loads((out / "manifest.json").read_text())["results"]["failures"]
+        assert len(rows) == 3 and all(",nan,nan,,0,5" in row for row in rows)
+        assert [(f["row"], f["theta"]) for f in failures] == [(0, 1.6), (1, 1.6), (2, 1.6)]
+        assert all("theta must lie in (0, pi/2]" in f["error"] for f in failures)
 
     def test_fig4_config_runs_reduced(self, tmp_path):
         out = tmp_path / "out"
@@ -750,6 +762,54 @@ class TestCheckedInConfigs:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["divergence_step"] == div_step
         paths = sorted(out.glob("*.csv"), key=lambda p: int(p.stem.rsplit("_t", 1)[1]))
+        assert len(paths) == n_csv
+        sha = hashlib.sha256()
+        for path in paths:
+            sha.update(path.name.encode())
+            sha.update(path.read_bytes())
+        assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command, overrides, rc, div_step, n_csv, digest",
+        [
+            (
+                "fdm2d",
+                ["model=fdm2d", "steps=40", "snapshot_stride=20"],
+                0,
+                None,
+                3,
+                "ae67bb077afa7340d8a9ed7e87645db5d18f0b68659d6719d5c480234873da82",
+            ),
+            (
+                "fdm2d",
+                ["model=fdm2d", "fdm.substeps=1", "steps=200", "snapshot_stride=20"],
+                2,
+                141,
+                8,
+                "9fe9972437241a26e0df61f68d6c7fa3f993c0d93467795cae1cbf3257d9fdb8",
+            ),
+            (
+                "compare-2d",
+                ["steps=40", "snapshot_stride=4"],
+                0,
+                None,
+                1,
+                "aba5fe94fb5834ddfa2cdcc310afbec348174a107d2ec13f28feacf840dd3b72",
+            ),
+        ],
+    )
+    def test_fdm2d_bytes_pinned(self, tmp_path, command, overrides, rc, div_step, n_csv, digest):
+        # one sha256 over the names and bytes of every CSV of a reduced fig9 run,
+        # in name order: fdm2d with auto substeps, an fdm2d run that diverges, and
+        # compare-2d's L2 series (fig9_l2.csv)
+        out = tmp_path / "out"
+        args = ["--out", str(out)]
+        for item in overrides:
+            args += ["--override", item]
+        assert main([command, "--config", str(CONFIGS / "fig9.yaml"), *args]) == rc
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"].get("divergence_step") == div_step
+        paths = sorted(out.glob("*.csv"))
         assert len(paths) == n_csv
         sha = hashlib.sha256()
         for path in paths:

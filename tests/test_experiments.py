@@ -518,8 +518,9 @@ class TestSweeps:
             results[budget] = (repr(rows), (out / "vs_sweep.csv").read_bytes(), manifest["results"])
         assert results[0] == results[3 * 8 * 64 * 41]
         assert failing_batches == [1, 1, 3, 1, 3, 1]
-        failures = results[0][2]["failures"]
-        assert list(failures) == ["1.25"] and "t=21, site x=" in failures["1.25"]
+        (failure,) = results[0][2]["failures"]
+        assert (failure["row"], failure["theta"]) == (1, 1.25)
+        assert "t=21, site x=" in failure["error"]
 
     def test_steepness_blocks_equal_whole_trace(self):
         # T values straddle the 256-snapshot blocks, out of order and with T = 0;

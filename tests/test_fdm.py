@@ -8,7 +8,13 @@ import pytest
 from qlgburgers.analytic import cole_hopf_density
 from qlgburgers.collision import CollisionParams, predicted_coefficients_1d
 from qlgburgers.experiments import analytic_config_for, run_fdm_1d, run_fdm_2d
-from qlgburgers.fdm import FdmDivergenceError, fdm_step_1d, fdm_step_2d, substeps_auto
+from qlgburgers.fdm import (
+    FdmDivergenceError,
+    divergence_check,
+    fdm_step_1d,
+    fdm_step_2d,
+    substeps_auto,
+)
 from qlgburgers.lattice import (
     AXIS_SYMMETRIC,
     ORTHOGONAL,
@@ -16,6 +22,7 @@ from qlgburgers.lattice import (
     Grid1D,
     Grid2D,
     PdeCoefficients2D,
+    VelocitySet2D,
     predicted_coefficients_2d,
 )
 
@@ -164,6 +171,79 @@ class TestNeighbourReads:
             ref = roll_step_1d(ref, c_s=0.8, nu=0.05, dx=0.9, dt=0.3)
             assert np.array_equal(rho, ref)
 
+    FIG8_SET4 = VelocitySet2D(shifts=((-1, 1), (1, 0)), basis=((1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)))
+
+    @pytest.mark.parametrize("vset", [AXIS_SYMMETRIC, ORTHOGONAL, TRIANGULAR, FIG8_SET4])
+    def test_velocity_sets_at_64_match_roll_reference(self, vset):
+        # chained updates at the size compare-2d runs, one work dict for all of them
+        coeffs = predicted_coefficients_2d(vset, P3, 1.0, 1.0)
+        dt = 1.0 / substeps_auto(coeffs, 1.0, 1.0)
+        rho = ref = np.random.default_rng(7).uniform(0.6, 1.4, (64, 64))
+        work = {}
+        for _ in range(12):
+            rho = fdm_step_2d(rho, coeffs, ds=1.0, dt=dt, work=work)
+            ref = roll_step_2d(ref, coeffs, ds=1.0, dt=dt)
+            assert np.array_equal(rho, ref)
+
+    def test_returned_fields_survive_later_calls(self):
+        # every call returns a new array that no buffer kept in ``work`` shares
+        rng = np.random.default_rng(8)
+        work, fields = {}, [rng.uniform(0.6, 1.4, (64, 64))]
+        for _ in range(4):
+            fields.append(fdm_step_2d(fields[-1], self.COEFFS, ds=1.0, dt=0.3, work=work))
+        kept = [f.copy() for f in fields]
+        for _ in range(3):
+            fdm_step_2d(rng.uniform(0.6, 1.4, (64, 64)), self.COEFFS, ds=1.0, dt=0.3, work=work)
+        buffers = [buf for bufs in work.values() for buf in bufs]
+        for field, copy in zip(fields, kept):
+            assert np.array_equal(field, copy)
+            assert not any(np.shares_memory(field, buf) for buf in buffers)
+
+    def test_alternating_shapes_share_one_work_dict(self):
+        rng = np.random.default_rng(9)
+        shapes = [(64, 64), (5, 7), (9, 1), (5, 7), (64, 64), (9, 1)]
+        rho = {s: rng.uniform(0.6, 1.4, s) for s in shapes}
+        ref, line = dict(rho), rng.uniform(0.6, 1.4, 9)
+        line_ref, work = line, {}
+        for shape in shapes:
+            rho[shape] = fdm_step_2d(rho[shape], self.COEFFS, ds=0.9, dt=0.3, work=work)
+            ref[shape] = roll_step_2d(ref[shape], self.COEFFS, ds=0.9, dt=0.3)
+            assert np.array_equal(rho[shape], ref[shape])
+            # the 1D update runs on a (9, 1) column, the same buffers as the 2D one
+            line = fdm_step_1d(line, c_s=0.8, nu=0.05, dx=0.9, dt=0.3, work=work)
+            line_ref = roll_step_1d(line_ref, c_s=0.8, nu=0.05, dx=0.9, dt=0.3)
+            assert np.array_equal(line, line_ref)
+        assert sorted(work) == [(5, 7), (9, 1), (64, 64)]
+
+    @pytest.mark.parametrize(
+        "bad, rho_a", [(np.nan, 0.4), (np.inf, 0.4), (-np.inf, 0.0), (None, 0.4), (None, 0.0)]
+    )
+    def test_divergence_text_and_step_match_roll_reference(self, bad, rho_a):
+        # a start holding NaN or inf, or growth at a full unstable step until the
+        # excursion check (rho_a > 0) or the finiteness check (rho_a = 0) trips
+        coeffs = predicted_coefficients_2d(TRIANGULAR.index_space(), P3, 1.0, 1.0)
+        start = 1.0 + 0.4 * np.random.default_rng(10).uniform(-1.0, 1.0, (64, 64))
+        if bad is not None:
+            start[3, 5] = bad
+
+        def first_error(update):
+            rho = start
+            for step in range(1, 400):
+                rho = update(rho)
+                try:
+                    divergence_check(rho, 1.0, rho_a, step)
+                except FdmDivergenceError as err:
+                    return str(err), err.step
+            return None
+
+        work = {}
+        with np.errstate(all="ignore"):
+            got = first_error(lambda rho: fdm_step_2d(rho, coeffs, 1.0, 1.0, work))
+            want = first_error(lambda rho: roll_step_2d(rho, coeffs, 1.0, 1.0))
+        assert got is not None and got == want
+        if bad is not None:
+            assert got[1] == 1
+
 
 class TestConvergence:
     def test_second_order_against_cole_hopf(self):
@@ -189,15 +269,11 @@ class TestConvergence:
 
 class TestDivergence:
     def test_nan_detected(self):
-        from qlgburgers.fdm import divergence_check
-
         with pytest.raises(FdmDivergenceError) as err:
             divergence_check(np.array([1.0, np.nan]), 1.0, 0.1, step=42)
         assert err.value.step == 42
 
     def test_excursion_detected(self):
-        from qlgburgers.fdm import divergence_check
-
         with pytest.raises(FdmDivergenceError):
             divergence_check(np.array([1.0, 2.5]), 1.0, 0.1, step=7)
         divergence_check(np.array([1.0, 1.5]), 1.0, 0.1, step=7)  # within 10 rho_a
