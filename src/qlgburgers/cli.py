@@ -7,7 +7,9 @@ package version and stage timings into the output directory.
 
 Exit codes: 0 success, 1 configuration/validation error (the message
 names the offending key; an analytic series too short for its Bessel
-argument counts as one, naming ``analytic.l_trunc``), 2 runtime
+argument counts as one, naming ``analytic.l_trunc``; so do a config file
+that cannot be read as UTF-8 YAML and an ``--out`` that cannot be made a
+directory, which name the path), 2 runtime
 divergence of the reference solver (the divergence step is recorded in
 the manifest).
 """
@@ -220,9 +222,10 @@ def _apply_overrides(cfg, overrides):
         node = cfg
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override '{key}' descends into a non-mapping")
+            if isinstance(node, dict):
+                node = node.setdefault(part, {})
+        if not isinstance(node, dict):  # the root too: a YAML list or scalar
+            raise ConfigError(f"override '{key}' descends into a non-mapping")
         node[parts[-1]] = value
     return cfg
 
@@ -404,24 +407,19 @@ def _cmd_fdm(resolved, outdir, timings):
             }
     for rho, step in zip(trace.rho, trace.steps):
         path = outdir / snapshot_filename(resolved["run_id"], int(step))
-        _write_sites(path, grid, float(step) * grid.dt, rho=rho)
+        _write_sites(path, grid.coordinates(), float(step) * grid.dt, rho=rho)
     return {**out, "substeps": substeps, "divergence_step": div_step}
 
 
 def _cmd_analytic(resolved, outdir, timings):
     from .analytic import cole_hopf_density
-    from .experiments import _snapshots
     from .io import snapshot_filename, write_density_snapshot_1d
 
     grid, params, _ = _build_setup(resolved)
     cfg = _analytic_config(resolved, grid, params, resolved["analytic"]["nu_variant"])
     xs = grid.positions()
-    # the state carried through the snapshot loop is the physical time
-    steps, times = zip(
-        *_snapshots(
-            0.0, lambda _, step: step * grid.dt, resolved["steps"], resolved["snapshot_stride"]
-        )
-    )
+    steps = range(0, resolved["steps"] + 1, resolved["snapshot_stride"])
+    times = [step * grid.dt for step in steps]
     with _timed(timings, "evaluate"):
         # one call for all times builds the t-independent series tables once
         rhos = cole_hopf_density(xs, times, cfg)
@@ -586,9 +584,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read '{args.config}': {exc}", file=sys.stderr)
         return 1
     except yaml.YAMLError as exc:
@@ -597,7 +595,6 @@ def main(argv=None) -> int:
 
     from . import __version__
     from .analytic import TruncationError
-    from .fdm import FdmDivergenceError
     from .io import write_manifest
 
     try:
@@ -608,10 +605,13 @@ def main(argv=None) -> int:
         return 1
 
     outdir = Path(args.out) if args.out else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file on the path, or no permission
+        print(f"config error: cannot make output directory '{outdir}': {exc}", file=sys.stderr)
+        return 1
 
     timings = {}
-    exit_code = 0
     try:
         with _timed(timings, "total"):
             extra = _COMMANDS[args.command](resolved, outdir, timings) or {}
@@ -621,11 +621,7 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"config error: config key 'analytic.l_trunc' too small: {exc}", file=sys.stderr)
         return 1
-    except FdmDivergenceError as exc:
-        extra = {"divergence_step": exc.step, "error": str(exc)}
-        exit_code = 2
-    if args.command in ("fdm1d", "fdm2d") and extra.get("divergence_step") is not None:
-        exit_code = 2
+    diverged = args.command in ("fdm1d", "fdm2d") and extra["divergence_step"] is not None
 
     write_manifest(
         outdir / "manifest.json",
@@ -634,7 +630,7 @@ def main(argv=None) -> int:
         timings,
         extra={"results": extra},
     )
-    return exit_code
+    return 2 if diverged else 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analytic import AnalyticConfig, evaluate_on_grid
 from .collision import CollisionParams, predicted_coefficients_1d
-from .fdm import FdmDivergenceError, divergence_check, fdm_step_1d, fdm_step_2d, substeps_auto
+from .fdm import FdmDivergenceError, _axis_aligned, divergence_check, fdm_step_2d, substeps_auto
 from .lattice import (
     Grid1D,
     Grid2D,
@@ -204,10 +204,10 @@ def _trace(snapshots, n_snapshots, grid, params=None) -> tuple:
     return trace, div_step
 
 
-def _fdm_trace(grid, rho_b, rho_a, steps, stride, substeps, update) -> tuple:
+def _fdm_trace(grid, coeffs, ds, rho_b, rho_a, steps, stride, substeps) -> tuple:
     """Reference-solver run from the cosine start; returns (trace, divergence_step).
 
-    Each lattice step is ``substeps`` calls of ``update(rho, dt_sub, work)``, then the
+    Each lattice step is ``substeps`` calls of :func:`fdm_step_2d`, then the
     divergence check; ``work`` keeps the update's buffers for this run only.
     """
     if substeps < 1:
@@ -217,7 +217,7 @@ def _fdm_trace(grid, rho_b, rho_a, steps, stride, substeps, update) -> tuple:
 
     def advance(rho, t):
         for _ in range(substeps):
-            rho = update(rho, dt_sub, work)
+            rho = fdm_step_2d(rho, coeffs, ds, dt_sub, work)
         divergence_check(rho, rho_b, rho_a, t)
         return rho
 
@@ -287,13 +287,11 @@ def run_fdm_1d(
 
     The time step equals the lattice dt so series align sample for
     sample; ``substeps`` splits it for stability.  On divergence the
-    trace is truncated after the last healthy snapshot.
+    trace is truncated after the last healthy snapshot.  Each substep is
+    the 2D update of the axis-aligned set on one column.
     """
-
-    def update(rho, dt, work):
-        return fdm_step_1d(rho, c_s, nu, grid.dx, dt, work)
-
-    return _fdm_trace(grid, rho_b, rho_a, steps, stride, substeps, update)
+    coeffs = _axis_aligned(c_s, nu)
+    return _fdm_trace(grid, coeffs, grid.dx, rho_b, rho_a, steps, stride, substeps)
 
 
 def run_fdm_2d(
@@ -308,11 +306,7 @@ def run_fdm_2d(
     """Run the 2D reference solver; returns (trace, divergence_step)."""
     if substeps == "auto":
         substeps = substeps_auto(coeffs, grid.ds, grid.dt)
-
-    def update(rho, dt, work):
-        return fdm_step_2d(rho, coeffs, grid.ds, dt, work)
-
-    return _fdm_trace(grid, rho_b, rho_a, steps, stride, int(substeps), update)
+    return _fdm_trace(grid, coeffs, grid.ds, rho_b, rho_a, steps, stride, int(substeps))
 
 
 def _check_one_1d_run(trace: DensityTrace, name: str) -> None:
@@ -455,23 +449,23 @@ def experimental_viscosity(
     )
 
 
-def _max_cell_jump(rho_snapshot: np.ndarray) -> float:
-    """Largest one-cell density jump, over every lattice axis."""
-    out = 0.0
-    for axis in range(rho_snapshot.ndim):
-        out = max(out, float(np.max(np.abs(np.roll(rho_snapshot, -1, axis=axis) - rho_snapshot))))
-    return out
+def _cell_jumps(rho: np.ndarray) -> np.ndarray:
+    """Largest one-cell density jump of each snapshot of ``rho``, over every lattice axis.
+
+    A snapshot holding a NaN has a NaN jump.
+    """
+    axes = tuple(range(1, rho.ndim))
+    return np.max([np.max(np.abs(np.roll(rho, -1, axis=a) - rho), axis=axes) for a in axes], axis=0)
 
 
 def shock_steepness(trace: DensityTrace, params: CollisionParams | None = None) -> float:
     """Max steepness Delta = max_{x,t} |w~(x, t) - w~(x+1, t)|.
 
     w~ = w / alpha = c (1 - rho), so Delta = c * max |rho(x+1) - rho(x)|
-    over the whole trace.
+    over the whole trace.  A NaN anywhere in the trace makes it NaN.
     """
     _check_one_1d_run(trace, "shock_steepness")
-    jump = float(np.max(np.abs(np.roll(trace.rho, -1, axis=1) - trace.rho)))
-    return trace.grid.c * jump
+    return trace.grid.c * float(np.max(_cell_jumps(trace.rho)))
 
 
 def shock_formation_step(trace: DensityTrace) -> int:
@@ -479,10 +473,10 @@ def shock_formation_step(trace: DensityTrace) -> int:
 
     Used as the deterministic 'after shock formation' marker for the
     error comparisons; the maximum of the discrete gradient is a
-    parameter-free proxy for the fully formed shock.
+    parameter-free proxy for the fully formed shock.  A NaN jump counts
+    as the largest, so the first snapshot holding a NaN is the step.
     """
-    jumps = [_max_cell_jump(trace.rho[k]) for k in range(trace.rho.shape[0])]
-    return int(trace.steps[int(np.argmax(jumps))])
+    return int(trace.steps[int(np.argmax(_cell_jumps(trace.rho)))])
 
 
 def shock_onset_step(trace: DensityTrace, factor: float = 2.0) -> int | None:
@@ -490,13 +484,12 @@ def shock_onset_step(trace: DensityTrace, factor: float = 2.0) -> int | None:
 
     Marks the onset of nonlinear steepening (the shock beginning to
     form), which precedes the gradient maximum used by
-    :func:`shock_formation_step`.
+    :func:`shock_formation_step`.  A NaN jump counts as reaching it, so a
+    snapshot holding a NaN is at or after the onset.
     """
-    initial = _max_cell_jump(trace.rho[0])
-    for k in range(trace.rho.shape[0]):
-        if _max_cell_jump(trace.rho[k]) >= factor * initial:
-            return int(trace.steps[k])
-    return None
+    jumps = _cell_jumps(trace.rho)
+    reached = np.flatnonzero(np.isnan(jumps) | (jumps >= factor * jumps[0]))
+    return int(trace.steps[reached[0]]) if reached.size else None
 
 
 def analytic_config_for(

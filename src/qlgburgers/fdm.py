@@ -8,10 +8,13 @@ with explicit Euler in time and second-order central differences in
 space (the cross derivative uses the 4-point corner stencil), periodic
 boundaries.  The 1D equation d_t rho + c_s (1 - rho) d_x rho = nu d_xx rho
 is its case a = 0, b = (c_s, 0), D = diag(nu, 0) on a single column, whose
-y terms are exact zeros.  The nonlinear term is discretized
-non-conservatively, exactly as the equation is written.
+y terms are exact zeros: a rank-1 field is updated as one column, and
+``_axis_aligned`` is the one statement of that coefficient set.  The
+nonlinear term is discretized non-conservatively, exactly as the equation
+is written.
 
-Each update copies the (n_x, n_y) field once into a flat buffer of
+Each update reads the six numbers of its coefficient set once, as plain
+floats, and copies the (n_x, n_y) field once into a flat buffer of
 (n_x + 2) rows of w = n_y + 2, with one periodic ghost cell on every side,
 corners included.  Cell (i, j) sits at w (i + 1) + j + 1, so its x
 neighbours are w entries away, its y neighbours one, and its diagonal
@@ -67,14 +70,9 @@ def divergence_check(rho, rho_b: float, rho_a: float, step: int):
         )
 
 
-def _axis_aligned_terms(c_s, nu) -> tuple:
-    """The 1D coefficients (c_s, nu) as the 2D pairs a = 0, b = (c_s, 0), D = diag(nu, 0)."""
-    return (0.0, 0.0), (c_s, 0.0), ((nu, 0.0), (0.0, 0.0))
-
-
 def _axis_aligned(c_s: float, nu: float) -> PdeCoefficients2D:
-    """The set of :func:`_axis_aligned_terms` as arrays."""
-    return PdeCoefficients2D(*(np.array(t, dtype=float) for t in _axis_aligned_terms(c_s, nu)))
+    """The 1D coefficients (c_s, nu) as the 2D set a = 0, b = (c_s, 0), D = diag(nu, 0)."""
+    return PdeCoefficients2D(np.zeros(2), np.array([c_s, 0.0]), np.array([[nu, 0.0], [0.0, 0.0]]))
 
 
 def _buffers(shape, work):
@@ -88,11 +86,11 @@ def _buffers(shape, work):
     return bufs
 
 
-def _euler(rho: np.ndarray, a, b, d, ds: float, dt: float, work=None) -> np.ndarray:
+def _euler(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.ndarray:
     """Explicit Euler update of the 2D equation; axis 0 of ``rho`` is x, axis 1 is y.
 
-    ``a``, ``b`` and ``d`` are the coefficients as pairs and a pair of
-    pairs.  Each pass forms one operation of
+    A rank-1 ``rho`` is one column (n_y = 1), and the result has its shape.
+    Each pass forms one operation of
 
         rho + dt (-(a0 rx + a1 ry + (1 - rho)(b0 rx + b1 ry))
                   + (d00 rxx + d11 ryy + (2 d01) rxy)),
@@ -100,12 +98,13 @@ def _euler(rho: np.ndarray, a, b, d, ds: float, dt: float, work=None) -> np.ndar
     in this association and with the quotients of the stencils below, so
     the result is that of the whole-array expression bit for bit.
     """
-    (a0, a1), (b0, b1), ((dxx, dxy), (_, dyy)) = a, b, d
-    n_x, n_y = rho.shape
+    (a0, a1), (b0, b1), ((dxx, dxy), (_, dyy)) = [c.tolist() for c in (coeffs.a, coeffs.b, coeffs.D)]
+    field = rho.reshape(rho.shape[0], -1)
+    n_x, n_y = field.shape
     w = n_y + 2
-    pad, tmp = _buffers(rho.shape, work)
+    pad, tmp = _buffers(field.shape, work)
     halo = pad.reshape(n_x + 2, w)
-    halo[1:-1, 1:-1] = rho
+    halo[1:-1, 1:-1] = field
     halo[0, 1:-1] = halo[-2, 1:-1]
     halo[-1, 1:-1] = halo[1, 1:-1]
     halo[:, 0] = halo[:, -2]
@@ -149,7 +148,8 @@ def _euler(rho: np.ndarray, a, b, d, ds: float, dt: float, work=None) -> np.ndar
     np.negative(q, out=q)
     np.add(q, p, out=q)
     np.multiply(q, dt, out=q)
-    return np.add(rho, tmp[3].reshape(n_x, w)[:, :n_y], out=np.empty(rho.shape))  # a new field
+    out = np.add(field, tmp[3].reshape(n_x, w)[:, :n_y], out=np.empty(field.shape))
+    return out.reshape(rho.shape)  # a new field
 
 
 def fdm_step_1d(
@@ -160,16 +160,16 @@ def fdm_step_1d(
     ``work`` is an optional dict in which the update keeps its buffers
     between calls; a run passes one to all its updates.
     """
-    terms = _axis_aligned_terms(c_s, nu)
-    return _euler(rho[:, None], *terms, dx, dt, work)[:, 0]
+    return _euler(rho, _axis_aligned(c_s, nu), dx, dt, work)
 
 
 def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.ndarray:
     """One explicit Euler update of the 2D equation, periodic; ``coeffs`` has a, b and D.
 
-    ``work`` is as for :func:`fdm_step_1d`.
+    A rank-1 ``rho`` is updated as one column.  ``work`` is as for
+    :func:`fdm_step_1d`.
     """
-    return _euler(rho, coeffs.a, coeffs.b, coeffs.D, ds, dt, work)
+    return _euler(rho, coeffs, ds, dt, work)
 
 
 # The largest substep count per lattice step that substeps_auto returns: a
@@ -177,18 +177,18 @@ def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.
 _MAX_AUTO_SUBSTEPS = 10**6
 
 
-def substeps_auto(coeffs, ds: float, dt: float, drift_bound: float = 1.0) -> int:
+def substeps_auto(coeffs, ds: float, dt: float) -> int:
     """Number of substeps needed for a stable explicit update.
 
     Combines the CFL-like bound max|d| dt/ds + 2 max eig(D) dt/ds^2
-    <= 1/2 (d = a + (1 - rho) b, with |1 - rho| <= ``drift_bound``)
+    <= 1/2 (d = a + (1 - rho) b, bounded by |a| + |b| as |1 - rho| <= 1)
     with the von Neumann bound dt <= 2 D_ii / d_i^2 per axis, which
     governs central advection-diffusion stability.  Returns 1 when the
     bounds already hold for the full step; a ValueError when the count
     is not finite or exceeds ``_MAX_AUTO_SUBSTEPS``.
     """
     a, b, d = coeffs.a, coeffs.b, coeffs.D
-    drift = np.abs(a) + drift_bound * np.abs(b)
+    drift = np.abs(a) + np.abs(b)
     eigmax = float(np.max(np.linalg.eigvalsh(d))) if np.any(d) else 0.0
     k_cfl = (float(np.sum(drift)) * dt / ds + 2.0 * eigmax * dt / (ds * ds)) / 0.5
     k_vn = 0.0

@@ -4,8 +4,12 @@ Snapshot files carry one row per site with header ``t,x[,y],rho,u,f0,f1``
 and are named ``{run_id}_t{step}.csv``; all floats are written with 17
 significant digits so a round trip through text is exact.
 
-Every float cell is the text of ``format(v, ".17g")``.  The snapshot
-writers make it for a whole block of values at once with ``_format17g``,
+Every snapshot, of a lattice field (t,x[,y],rho,u,f0,f1) or of a density
+alone (t,x[,y],rho), is written by the one site writer ``_write_sites``
+from the coordinates of each axis and the value columns.
+
+Every float cell is the text of ``format(v, ".17g")``.  The site writer
+makes it for a whole block of values at once with ``_format17g``,
 which puts each value's text into a fixed-width slot of NUL-padded ASCII
 bytes; a block of rows is then one byte buffer, written with its NULs
 dropped.
@@ -196,16 +200,20 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _write_floats(path, header, n_rows, t, sites, values) -> None:
-    """Write ``n_rows`` CSV rows under ``header``: t, the site columns, then the values.
+def _write_sites(path, coordinates, t, **values) -> None:
+    """Write one row per site: t, x (and y, varying fastest, in 2D), then the ``values``.
 
-    ``sites(start, stop)`` gives the slots of each site column for rows
-    [start, stop).  A value is an array with one entry per row, or a
-    function of (start, stop) that makes those rows on demand.
+    ``coordinates`` holds the coordinates of each lattice axis.  A value is
+    an array with one entry per site, or a function of (start, stop) that
+    makes the entries of rows [start, stop) on demand.
     """
+    shape = tuple(len(c) for c in coordinates)
+    n_rows = math.prod(shape)
+    # the slots of t and of each axis's coordinates are made once and gathered per block
     t_slot = _format17g(t)
-    values = [v if callable(v) else np.ravel(v) for v in values]
-    first = len(header) - len(values)
+    axes = [_format17g(c) for c in coordinates]
+    columns = [v if callable(v) else np.ravel(v) for v in values.values()]
+    header = ("t", *("x", "y")[: len(axes)], *values)
     # one line buffer for every block: a slot per cell, then its separator
     line = np.zeros((min(n_rows, _BLOCK_ROWS), len(header), _SLOT + 1), np.uint8)
     line[..., _SLOT] = ord(",")
@@ -216,28 +224,16 @@ def _write_floats(path, header, n_rows, t, sites, values) -> None:
             stop = min(start + _BLOCK_ROWS, n_rows)
             rows = line[: stop - start]
             rows[:, 0, :_SLOT] = t_slot
-            for j, slots in enumerate(sites(start, stop), 1):
-                rows[:, j, :_SLOT] = slots
-            block = np.empty((stop - start, len(values)))
-            for j, v in enumerate(values):
+            index = np.unravel_index(np.arange(start, stop), shape)
+            for j, (slots, i) in enumerate(zip(axes, index), 1):
+                rows[:, j, :_SLOT] = np.take(slots, i, axis=0)
+            block = np.empty((stop - start, len(columns)))
+            for j, v in enumerate(columns):
                 block[:, j] = v(start, stop) if callable(v) else v[start:stop]
-            rows[:, first:, :_SLOT] = _format17g(block)
+            rows[:, 1 + len(axes) :, :_SLOT] = _format17g(block)
             # translate drops the NULs about 6x faster than a boolean mask,
             # whose branches mispredict on the alternating digit/NUL bytes
             fh.write(rows.tobytes().translate(None, b"\0"))
-
-
-def _write_sites(path, grid, t, **values) -> None:
-    """Write one row per site: t, x (and y, varying fastest, in 2D), then the ``values``."""
-    # the slots of each axis's coordinates are made once and gathered per block
-    axes = [_format17g(c) for c in grid.coordinates()]
-
-    def sites(start, stop):
-        index = np.unravel_index(np.arange(start, stop), grid.shape)
-        return [np.take(slots, i, axis=0) for slots, i in zip(axes, index)]
-
-    header = ("t", *("x", "y")[: len(axes)], *values)
-    _write_floats(path, header, math.prod(grid.shape), t, sites, list(values.values()))
 
 
 def _write_field(path, fld) -> None:
@@ -245,7 +241,7 @@ def _write_field(path, fld) -> None:
     # rho and u are made per block: whole columns add 4 MB at 512 x 512, which shows in peak RSS
     _write_sites(
         path,
-        fld.grid,
+        fld.grid.coordinates(),
         fld.t * fld.grid.dt,
         rho=lambda start, stop: f0[start:stop] + f1[start:stop],
         u=lambda start, stop: f1[start:stop] - f0[start:stop],
@@ -270,8 +266,7 @@ def write_snapshot_2d(path, fld) -> None:
 
 def write_density_snapshot_1d(path, xs, rho, t) -> None:
     """Write a density-only snapshot (columns t,x,rho), e.g. analytic output."""
-    slots = _format17g(xs)
-    _write_floats(path, ("t", "x", "rho"), len(xs), t, lambda start, stop: (slots[start:stop],), [rho])
+    _write_sites(path, (xs,), t, rho=rho)
 
 
 def write_rows_csv(path, header, rows) -> None:

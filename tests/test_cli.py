@@ -84,6 +84,37 @@ class TestValidation:
         assert rc == 1
         assert "YAML" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", sorted(SCHEMAS))
+    @pytest.mark.parametrize(
+        "text, overrides",
+        [(b"- 1\n", ["steps=3"]), (b"3\n", ["run_id=x"]), (b"\xff\xfe\x00", [])],
+        ids=["list_root", "scalar_root", "not_utf8"],
+    )
+    def test_unusable_config_file_exits_one(self, tmp_path, capsys, command, text, overrides):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        args = [command, "--config", str(path), "--out", str(out)]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_path_that_cannot_be_a_directory(self, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / below if below else afile
+        cfg = write_config(tmp_path, small_1d_config())
+        assert main(["simulate1d", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"'{out}'" in err
+        assert afile.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.yaml"]
+
     @pytest.mark.parametrize(
         "command, cfg, override, key",
         [

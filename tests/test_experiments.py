@@ -318,6 +318,44 @@ class TestShockMarkers:
         trace = run_qlg_1d(grid, CollisionParams(theta=1.55), 1.0, 0.005, steps=50, stride=1)
         assert shock_onset_step(trace) is None
 
+    @staticmethod
+    def cell_jump(snap):
+        """The largest |rho(next cell) - rho(cell)| over every axis, periodic, cell by cell."""
+        out = 0.0
+        for cell in np.ndindex(snap.shape):
+            for axis in range(snap.ndim):
+                nb = list(cell)
+                nb[axis] = (nb[axis] + 1) % snap.shape[axis]
+                out = max(out, abs(snap[tuple(nb)] - snap[cell]))
+        return out
+
+    @pytest.mark.parametrize("shape", [(16,), (6, 5)])
+    def test_markers_equal_cell_by_cell_jumps(self, shape):
+        rng = np.random.default_rng(13)
+        rho = rng.uniform(0.5, 1.5, (9, *shape)) * rng.uniform(0.1, 3.0, (9,) + (1,) * len(shape))
+        grid = Grid1D(n_x=16, length_x=2.0) if len(shape) == 1 else Grid2D(n_x=6, n_y=5, ds=1.0)
+        trace = DensityTrace(rho=rho, steps=np.arange(0, 27, 3), grid=grid)
+        jumps = [self.cell_jump(snap) for snap in rho]
+        assert shock_formation_step(trace) == 3 * int(np.argmax(jumps))
+        onset = next((3 * k for k, j in enumerate(jumps) if j >= 1.5 * jumps[0]), None)
+        assert shock_onset_step(trace, factor=1.5) == onset
+        if len(shape) == 1:
+            assert shock_steepness(trace) == grid.c * max(jumps)
+
+    def test_nan_propagates_in_every_marker(self):
+        # a NaN jump counts as the largest: steepness is NaN, the first NaN
+        # snapshot is the formation step, and it reaches the onset
+        grid = Grid1D(n_x=16, length_x=2.0)
+        rho = 1.0 + 0.1 * np.sin(np.arange(16) * 0.4) * np.arange(1, 7)[:, None] ** 0.1
+        rho[3, 5] = np.nan
+        trace = DensityTrace(rho=rho, steps=np.arange(0, 12, 2), grid=grid)
+        assert math.isnan(shock_steepness(trace))
+        assert shock_formation_step(trace) == 6
+        assert shock_onset_step(trace, factor=100.0) == 6
+        rho[0, 0] = np.nan
+        assert shock_onset_step(trace, factor=100.0) == 0
+        assert shock_formation_step(trace) == 0
+
 
 class TestMseCompare:
     def test_zero_against_own_samples(self):

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from qlgburgers import experiments
 from qlgburgers.analytic import cole_hopf_density
 from qlgburgers.collision import CollisionParams, predicted_coefficients_1d
 from qlgburgers.experiments import analytic_config_for, run_fdm_1d, run_fdm_2d
 from qlgburgers.fdm import (
     FdmDivergenceError,
+    _axis_aligned,
     divergence_check,
     fdm_step_1d,
     fdm_step_2d,
@@ -23,6 +25,7 @@ from qlgburgers.lattice import (
     Grid2D,
     PdeCoefficients2D,
     VelocitySet2D,
+    _cosine_density,
     predicted_coefficients_2d,
 )
 
@@ -215,6 +218,19 @@ class TestNeighbourReads:
             assert np.array_equal(line, line_ref)
         assert sorted(work) == [(5, 7), (9, 1), (64, 64)]
 
+    @pytest.mark.parametrize("n", [64, 5, 2, 1])
+    def test_2d_update_of_a_line_is_the_1d_update(self, n):
+        # a rank-1 field is one column: the 2D update with the axis-aligned set,
+        # chained, gives the 1D update bit for bit and keeps the field rank 1
+        coeffs = _axis_aligned(0.8, 0.05)
+        rho = ref = np.random.default_rng(12).uniform(0.6, 1.4, n)
+        work = {}
+        for _ in range(8):
+            rho = fdm_step_2d(rho, coeffs, ds=0.9, dt=0.3, work=work)
+            ref = fdm_step_1d(ref, c_s=0.8, nu=0.05, dx=0.9, dt=0.3)
+            assert rho.shape == (n,)
+            assert np.array_equal(rho, ref)
+
     @pytest.mark.parametrize(
         "bad, rho_a", [(np.nan, 0.4), (np.inf, 0.4), (-np.inf, 0.0), (None, 0.4), (None, 0.0)]
     )
@@ -243,6 +259,50 @@ class TestNeighbourReads:
         assert got is not None and got == want
         if bad is not None:
             assert got[1] == 1
+
+
+def chained_run_1d(grid, c_s, nu, rho_b, rho_a, steps, stride, substeps):
+    """(snapshots, steps, (error text, step) or None) of fdm_step_1d calls and checks in a loop."""
+    rho = _cosine_density(grid, rho_b, rho_a)
+    snaps, kept = [rho], [0]
+    for t in range(1, steps + 1):
+        for _ in range(substeps):
+            rho = fdm_step_1d(rho, c_s, nu, grid.dx, grid.dt / substeps)
+        try:
+            divergence_check(rho, rho_b, rho_a, t)
+        except FdmDivergenceError as err:
+            return snaps, kept, (str(err), err.step)
+        if t % stride == 0:
+            snaps.append(rho)
+            kept.append(t)
+    return snaps, kept, None
+
+
+class TestRunFdm1D:
+    # a 1D run is the 2D update of the axis-aligned set on one column, built
+    # once per run: it must equal chained 1D updates and checks bit for bit
+    @pytest.mark.parametrize("substeps", [1, 4])
+    @pytest.mark.parametrize("c_s, nu, diverges", [(0.8, 0.05, False), (40.0, 1e-4, True)])
+    def test_equals_chained_1d_updates(self, monkeypatch, substeps, c_s, nu, diverges):
+        grid = Grid1D(n_x=32, length_x=2.0)
+        errors = []
+
+        def recorded_check(*args):
+            try:
+                divergence_check(*args)
+            except FdmDivergenceError as err:
+                errors.append((str(err), err.step))
+                raise
+
+        monkeypatch.setattr(experiments, "divergence_check", recorded_check)
+        with np.errstate(all="ignore"):
+            trace, div = run_fdm_1d(grid, c_s, nu, 1.0, 0.4, 400, stride=3, substeps=substeps)
+            snaps, kept, error = chained_run_1d(grid, c_s, nu, 1.0, 0.4, 400, 3, substeps)
+        assert (error is not None) == diverges
+        assert errors == ([error] if diverges else [])
+        assert div == (error[1] if diverges else None)
+        assert np.array_equal(trace.steps, kept)
+        assert np.array_equal(trace.rho, np.stack(snaps))
 
 
 class TestConvergence:
@@ -312,7 +372,5 @@ class TestSubstepsAuto:
     @pytest.mark.parametrize("c_s, nu", [(1e300, 0.05), (1.0, 1e300), (1e4, 1e-5)])
     def test_unrunnable_count_rejected(self, c_s, nu):
         # an infinite count (the square of the drift overflows) or a finite one beyond the limit
-        from qlgburgers.fdm import _axis_aligned
-
         with pytest.raises(ValueError, match="substeps per step"):
             substeps_auto(_axis_aligned(c_s, nu), 1.0, 1.0)

@@ -85,6 +85,18 @@ class TestGoldenBytes:
             "0.30000000000000004,0.30000000000000004,1\n"
         )
 
+    def test_density_snapshot_1d_beyond_one_block(self, tmp_path):
+        # 3000 rows: three blocks of the writer, the last one partial, with
+        # values outside the vectorised band in each block
+        rng = np.random.default_rng(11)
+        xs = np.arange(3000) * (2.0 / 3000)
+        rho = rng.uniform(0.5, 1.5, 3000)
+        rho[[0, 1023, 1024, 2047, 2048, 2999]] = [-0.0, 5e-324, 1e20, np.nan, -np.inf, 1e-5]
+        t = 0.1 + 0.2
+        write_density_snapshot_1d(tmp_path / "d.csv", xs, rho, t)
+        rows = [",".join(format(float(v), ".17g") for v in (t, x, r)) for x, r in zip(xs, rho)]
+        assert (tmp_path / "d.csv").read_text() == "t,x,rho\n" + "".join(r + "\n" for r in rows)
+
     def test_rows_csv_mixed_cells(self, tmp_path):
         rows = [(1, 0.1 + 0.2, None), (np.int64(2), -0.0, 1 / 3), (3, 5e-324, np.float64(1.5))]
         write_rows_csv(tmp_path / "e.csv", ("n", "value", "note"), rows)

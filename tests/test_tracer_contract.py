@@ -5,9 +5,11 @@ module and listed in its ``__all__``, and ``bench/jobs.py`` ``REACHED``
 names the functions every traced round must call.  A refactor that turns
 one of those names into an alias, a ``functools.partial`` or a private
 helper would otherwise pass these tests and fail only under
-``bench/run.py --trace 1``.
+``bench/run.py --trace 1``.  So would a refactor that stops calling one:
+each name must still be loaded somewhere in the package outside its own def.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -16,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-JOBS = Path(__file__).resolve().parent.parent / "bench" / "jobs.py"
+ROOT = Path(__file__).resolve().parent.parent
+JOBS = ROOT / "bench" / "jobs.py"
+PACKAGE = ROOT / "src" / "qlgburgers"
 
 
 def _reached():
@@ -39,3 +43,36 @@ def test_reached_name_is_a_traceable_function(qualname):
     fn = getattr(module, fn_name)
     assert inspect.isfunction(fn)
     assert fn.__module__ == module.__name__
+
+
+def _loads():
+    """(module, name, inside a def of that name) of every Name and Attribute load in the package.
+
+    A function passed as a value counts as well as a call: the traced jobs
+    reach some names through a table or an argument.
+    """
+    found = set()
+
+    def visit(node, module, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            found.add((module, name, name in enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, enclosing)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, frozenset())
+    return found
+
+
+LOADS = _loads()
+
+
+@pytest.mark.parametrize("qualname", _reached())
+def test_reached_name_is_loaded_outside_its_def(qualname):
+    layer, fn_name = qualname.split(".")
+    assert any(
+        name == fn_name and not (module == layer and inside) for module, name, inside in LOADS
+    ), f"{qualname} is not called or passed anywhere in the package"
