@@ -585,7 +585,7 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read '{args.config}': {exc}", file=sys.stderr)
         return 1
@@ -597,6 +597,8 @@ def main(argv=None) -> int:
     from .analytic import TruncationError
     from .io import write_manifest
 
+    if raw is None:  # an empty file, or one holding only comments or null
+        raw = {}
     try:
         raw = _apply_overrides(raw, args.override)
         resolved = _resolve(raw, SCHEMAS[args.command])

@@ -329,21 +329,36 @@ def equilibrium(rho, params: CollisionParams) -> tuple:
     population streaming along +x); this is forced by omega = 0
     together with the collision unitary, and is verified against the
     quantum path in the tests.
+
+    The populations are formed in two new arrays and one temporary, each
+    operation in place with ``out=`` and in the order of the formula above,
+    then clipped onto [0, 1] in place; a scalar rho gives two floats.
     """
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0.0) or np.any(rho_arr > 2.0):
         raise ValueError(f"rho must lie in [0, 2], got {rho!r}")
     a = params.alpha()
+    f0 = np.empty(rho_arr.shape)
+    f1 = np.divide(rho_arr, 2.0, out=np.empty(rho_arr.shape))
     if abs(a) < ALPHA_SYMMETRIC_CUTOFF:
-        f0 = rho_arr / 2.0
-        f1 = rho_arr / 2.0
+        np.copyto(f0, f1)
     else:
-        rho_arr, p, q = _sqrt_terms(rho_arr, a)
-        gap = (p - q) / (2.0 * a)
-        f0 = rho_arr / 2.0 - gap
-        f1 = rho_arr / 2.0 + gap
-    f0 = np.clip(f0, 0.0, 1.0)
-    f1 = np.clip(f1, 0.0, 1.0)
+        # gap = (p - q) / (2a) with q = sqrt(a a + 1 - 2 a a rho + a a rho rho), one
+        # operation per pass in the association of _sqrt_terms; f0 is scratch
+        aa = a * a
+        gap = np.multiply(2.0 * a * a, rho_arr, out=np.empty(rho_arr.shape))
+        np.subtract(aa + 1.0, gap, out=gap)
+        np.multiply(aa, rho_arr, out=f0)
+        np.multiply(f0, rho_arr, out=f0)
+        np.add(gap, f0, out=gap)
+        np.sqrt(gap, out=gap)
+        np.subtract(math.sqrt(aa + 1.0), gap, out=gap)
+        np.divide(gap, 2.0 * a, out=gap)
+        np.divide(rho_arr, 2.0, out=f0)
+        np.subtract(f0, gap, out=f0)
+        np.add(f1, gap, out=f1)
+    np.clip(f0, 0.0, 1.0, out=f0)
+    np.clip(f1, 0.0, 1.0, out=f1)
     if f0.ndim == 0:
         return float(f0), float(f1)
     return f0, f1

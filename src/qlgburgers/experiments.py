@@ -449,13 +449,22 @@ def experimental_viscosity(
     )
 
 
+def _cell_differences(rho: np.ndarray) -> np.ndarray:
+    """|rho(x + e) - rho(x)| of every snapshot of ``rho`` along each lattice axis e,
+    periodic: one array of the snapshots' shape per axis, stacked on a new axis 0."""
+    diffs = np.empty((rho.ndim - 1,) + rho.shape, dtype=rho.dtype)
+    for d, axis in zip(diffs, range(1, rho.ndim)):
+        np.abs(np.subtract(np.roll(rho, -1, axis=axis), rho, out=d), out=d)
+    return diffs
+
+
 def _cell_jumps(rho: np.ndarray) -> np.ndarray:
     """Largest one-cell density jump of each snapshot of ``rho``, over every lattice axis.
 
     A snapshot holding a NaN has a NaN jump.
     """
-    axes = tuple(range(1, rho.ndim))
-    return np.max([np.max(np.abs(np.roll(rho, -1, axis=a) - rho), axis=axes) for a in axes], axis=0)
+    diffs = _cell_differences(rho)
+    return np.max(diffs, axis=(0,) + tuple(range(2, diffs.ndim)))
 
 
 def shock_steepness(trace: DensityTrace, params: CollisionParams | None = None) -> float:
@@ -465,7 +474,7 @@ def shock_steepness(trace: DensityTrace, params: CollisionParams | None = None) 
     over the whole trace.  A NaN anywhere in the trace makes it NaN.
     """
     _check_one_1d_run(trace, "shock_steepness")
-    return trace.grid.c * float(np.max(_cell_jumps(trace.rho)))
+    return trace.grid.c * float(np.max(_cell_differences(trace.rho)))
 
 
 def shock_formation_step(trace: DensityTrace) -> int:

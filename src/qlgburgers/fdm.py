@@ -22,7 +22,8 @@ ones w + 1 and w - 1.  Every ufunc pass then runs once over the contiguous stret
 from the first cell to the last, n_x w - 2 entries, into temporaries that
 ``out=`` reuses.  The stretch takes in the ghost columns between rows;
 their entries get throwaway values and are never returned.  A run passes
-one ``work`` dict to all its updates, which keeps the buffers for as
+one ``work`` dict to all its updates, which keeps the buffers, and the
+views of them that an update reads and writes, per field shape for as
 long as the run lasts.
 
 The scheme is intentionally plain: near shock formation it is expected
@@ -76,11 +77,23 @@ def _axis_aligned(c_s: float, nu: float) -> PdeCoefficients2D:
 
 
 def _buffers(shape, work):
-    """The padded field and five temporaries for fields of ``shape``, kept in ``work`` if given."""
+    """The buffers of an update of a field of ``shape`` and their views, kept in ``work`` if given.
+
+    Returns the padded field as (n_x + 2, w) rows, the nine neighbour reads
+    of the run (centre, x forward and back, y forward and back, then the
+    diagonals +x+y, +x-y, -x+y, -x-y), the five temporary rows, and the
+    cells of the fourth row, which ends up holding the increment.
+    """
     bufs = None if work is None else work.get(shape)
     if bufs is None:
         n_x, n_y = shape
-        bufs = np.empty((n_x + 2) * (n_y + 2)), np.empty((5, n_x * (n_y + 2)))
+        w = n_y + 2
+        pad, tmp = np.empty((n_x + 2) * w), np.empty((5, n_x * w))
+        run = n_x * w - 2
+        reads = tuple(
+            pad[w + 1 + k : w + 1 + k + run] for k in (0, w, -w, 1, -1, w + 1, w - 1, 1 - w, -w - 1)
+        )
+        bufs = pad.reshape(n_x + 2, w), reads, tuple(tmp[:, :run]), tmp[3].reshape(n_x, w)[:, :n_y]
         if work is not None:
             work[shape] = bufs
     return bufs
@@ -100,22 +113,13 @@ def _euler(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.ndarr
     """
     (a0, a1), (b0, b1), ((dxx, dxy), (_, dyy)) = [c.tolist() for c in (coeffs.a, coeffs.b, coeffs.D)]
     field = rho.reshape(rho.shape[0], -1)
-    n_x, n_y = field.shape
-    w = n_y + 2
-    pad, tmp = _buffers(field.shape, work)
-    halo = pad.reshape(n_x + 2, w)
+    halo, reads, (rx, ry, p, q, r), update = _buffers(field.shape, work)
+    c, xf, xb, yf, yb, pp, pm, mp, mm = reads
     halo[1:-1, 1:-1] = field
     halo[0, 1:-1] = halo[-2, 1:-1]
     halo[-1, 1:-1] = halo[1, 1:-1]
     halo[:, 0] = halo[:, -2]
     halo[:, -1] = halo[:, 1]
-    run = n_x * w - 2
-
-    def at(offset):
-        return pad[w + 1 + offset : w + 1 + offset + run]
-
-    c, xf, xb, yf, yb = at(0), at(w), at(-w), at(1), at(-1)
-    rx, ry, p, q, r = tmp[:, :run]
     np.subtract(xf, xb, out=rx)
     np.divide(rx, 2.0 * ds, out=rx)  # rx = (xf - xb) / (2 ds)
     np.subtract(yf, yb, out=ry)
@@ -130,9 +134,9 @@ def _euler(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.ndarr
     np.multiply(p, dxx, out=p)
     np.multiply(r, dyy, out=r)
     np.add(p, r, out=p)  # d00 rxx + d11 ryy
-    np.subtract(at(w + 1), at(w - 1), out=r)
-    np.subtract(r, at(1 - w), out=r)
-    np.add(r, at(-w - 1), out=r)
+    np.subtract(pp, pm, out=r)
+    np.subtract(r, mp, out=r)
+    np.add(r, mm, out=r)
     np.divide(r, 4.0 * ds * ds, out=r)  # rxy = (pp - pm - mp + mm) / (4 ds^2)
     np.multiply(r, 2.0 * dxy, out=r)
     np.add(p, r, out=p)  # diffusion
@@ -148,7 +152,7 @@ def _euler(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.ndarr
     np.negative(q, out=q)
     np.add(q, p, out=q)
     np.multiply(q, dt, out=q)
-    out = np.add(field, tmp[3].reshape(n_x, w)[:, :n_y], out=np.empty(field.shape))
+    out = np.add(field, update, out=np.empty(field.shape))
     return out.reshape(rho.shape)  # a new field
 
 

@@ -13,6 +13,18 @@ finite-difference form kept for the discrepancy study.
 Everything is deterministic: measurement is an expectation value, so
 repeated runs are bitwise identical.
 
+A closed-form 2D step of a field of more than ``_TILE_MIN_SITES`` sites
+(two tiles) runs in row tiles of about ``_TILE_SITES`` = 2^15 sites, which
+fit a core's L2 cache: each tile is collided with the one collision kernel
+and its populations are copied straight to their streamed rows and columns
+in the two new arrays, at most four slice copies per population.  No
+whole-field collision term or unstreamed pair is formed, and every site
+gets the same operations, so the bytes are those of the whole-field step.
+A range error in any tile drops the tiles and reruns the step on the whole
+field, which raises the error with the usual text, naming the first bad
+site of f0 before any of f1.  Smaller fields, batches and the quantum path
+take one whole-field collision followed by streaming.
+
 A 1D field may carry a leading batch axis, shape (B, n_x), with one
 :class:`CollisionParams` per row: one step then advances B independent
 lattices, each row bit for bit as it would run alone.
@@ -357,13 +369,67 @@ def _slice_copies(shift, sign, shape):
     ``shape`` periodically by ``sign * shift[k]`` sites along axis k."""
     copies = (((...,), (...,)),)
     for c, n in zip(shift, shape):
-        c = sign * int(c) % n if n else 0
-        if c:
-            parts = ((slice(c, None), slice(None, n - c)), (slice(None, c), slice(n - c, None)))
-        else:
-            parts = ((slice(None), slice(None)),)
+        parts = _axis_parts(sign * int(c), n, 0, n) if n else ((slice(None), slice(None)),)
         copies = tuple((dst + (d,), src + (s,)) for dst, src in copies for d, s in parts)
     return copies
+
+
+def _axis_parts(c, n, start, size):
+    """(destination, source) slice pairs along an axis of ``n`` sites that move the
+    ``size`` sites from ``start`` on periodically by ``c`` sites; the source slices
+    index those ``size`` sites alone.  At most two pairs, the second one the wrap."""
+    d = (start + c) % n
+    head = min(size, n - d)
+    parts = ((slice(d, d + head), slice(0, head)),)
+    if head < size:
+        parts += ((slice(0, size - head), slice(head, size)),)
+    return parts
+
+
+# A closed-form step of a 2D field of more than _TILE_MIN_SITES sites collides it
+# in row tiles of about _TILE_SITES sites, whose passes run in a core's L2 (2 MB on
+# the 2-core machine measured): 7.3-7.6 ns/site per 512^2 and 1024^2 step against
+# 12.8-13.6 for the whole field, while at 2^15 sites the whole-field call was faster.
+_TILE_SITES = 1 << 15
+_TILE_MIN_SITES = 2 * _TILE_SITES
+
+
+@functools.lru_cache(maxsize=16)
+def _tile_plan(shifts, sign, shape, rows):
+    """(row slice, (copies of f0, copies of f1)) for each tile of ``rows`` rows of a
+    field of ``shape``: the (destination, source) pairs that put the tile's
+    populations where streaming by ``sign * shifts[i]`` moves them."""
+    n_x, n_y = shape
+    plan = []
+    for start in range(0, n_x, rows):
+        size = min(rows, n_x - start)
+        copies = tuple(
+            tuple(
+                ((rd, cd), (rs, cs))
+                for rd, rs in _axis_parts(sign * c0, n_x, start, size)
+                for cd, cs in _axis_parts(sign * c1, n_y, 0, n_y)
+            )
+            for c0, c1 in shifts
+        )
+        plan.append((slice(start, start + size), copies))
+    return tuple(plan)
+
+
+def _collide_and_stream_tiles(f0, f1, params, shifts, reversed_streaming):
+    """Closed-form collision and streaming of a 2D field, one row tile at a time.
+
+    Each tile's collided populations are copied straight into their streamed
+    places in the two new arrays, so no whole-field collision term or
+    unstreamed pair is formed.  Every site goes through the same operations
+    as in the whole-field call, so the result is the same bit for bit.
+    """
+    rows = max(1, _TILE_SITES // f0.shape[1])
+    out = np.empty(f0.shape), np.empty(f0.shape)
+    for tile, copies in _tile_plan(shifts, -1 if reversed_streaming else 1, f0.shape, rows):
+        for g, moved, pairs in zip(collide_closed_form(f0[tile], f1[tile], params), out, copies):
+            for dst, src in pairs:
+                moved[dst] = g[src]
+    return out
 
 
 def stream_1d(f0, f1, reversed_streaming: bool = False) -> tuple:
@@ -402,7 +468,26 @@ def step_2d(
     collision: str = "closed_form",
     reversed_streaming: bool = False,
 ) -> PopulationField:
-    """One 2D step: same collision as 1D, streaming by integer shifts."""
+    """One 2D step: same collision as 1D, streaming by integer shifts.
+
+    A closed-form step of one field of more than ``_TILE_MIN_SITES`` sites
+    collides and streams it in row tiles; a range error in any tile reruns
+    the step on the whole field, which raises it as every other step does.
+    """
+    if (
+        fld.f0.size > _TILE_MIN_SITES
+        and fld.f0.ndim == 2
+        and collision == "closed_form"
+        and isinstance(params, CollisionParams)
+    ):
+        try:
+            f0, f1 = _collide_and_stream_tiles(
+                fld.f0, fld.f1, params, vset.shifts, reversed_streaming
+            )
+        except PopulationRangeError:
+            pass  # the whole-field path names the first bad site, f0 before f1
+        else:
+            return PopulationField(f0=f0, f1=f1, grid=fld.grid, t=fld.t + 1)
     g0, g1 = _collide(fld, params, collision)
     f0, f1 = stream_2d(g0, g1, vset, reversed_streaming)
     return PopulationField(f0=f0, f1=f1, grid=fld.grid, t=fld.t + 1)

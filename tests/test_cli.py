@@ -102,6 +102,18 @@ class TestValidation:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(SCHEMAS))
+    @pytest.mark.parametrize("text", [b"0\n", b"false\n", b"''\n", b"[]\n"])
+    def test_falsy_root_is_not_a_mapping(self, tmp_path, capsys, command, text):
+        # only an empty file is an empty mapping
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: config section '<root>' must be a mapping\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_out_path_that_cannot_be_a_directory(self, tmp_path, capsys, below):
         afile = tmp_path / "afile"

@@ -326,6 +326,44 @@ class TestEquilibrium:
         with pytest.raises(ValueError):
             equilibrium(2.1, p)
 
+    @staticmethod
+    def expression(rho, p):
+        """The equilibrium as one whole-array expression per population, then clipped."""
+        a = p.alpha()
+        if abs(a) < collision.ALPHA_SYMMETRIC_CUTOFF:
+            f0, f1 = rho / 2.0, rho / 2.0
+        else:
+            q = np.sqrt(a * a + 1.0 - 2.0 * a * a * rho + a * a * rho * rho)
+            gap = (math.sqrt(a * a + 1.0) - q) / (2.0 * a)
+            f0, f1 = rho / 2.0 - gap, rho / 2.0 + gap
+        return (f0, f1), (np.clip(f0, 0.0, 1.0), np.clip(f1, 0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "p, clipped",
+        [
+            (CollisionParams(theta=math.pi / 2), False),  # the symmetric limit
+            (CollisionParams(theta=1.0, zeta=math.pi / 2), False),  # alpha 6e-17: the limit too
+            (CollisionParams(theta=0.7, zeta=0.4, xi=-1.1), False),
+            (CollisionParams(theta=1.2, zeta=math.pi), False),
+            (CollisionParams(theta=1e-9), True),  # round-off leaves [0, 1]
+            (CollisionParams(theta=1e-9, zeta=math.pi), True),
+        ],
+    )
+    def test_arrays_equal_the_whole_array_expression(self, p, clipped):
+        rho = np.concatenate(
+            [RNG.uniform(0, 2, 600), RNG.uniform(0, 1e-3, 200), 2.0 - RNG.uniform(0, 1e-3, 200)]
+        )
+        rho[:6] = 0.0, -0.0, 2.0, 1.0, 5e-324, 1.0 - 1e-16
+        raw, want = self.expression(rho, p)
+        assert any(not np.array_equal(r, w) for r, w in zip(raw, want)) == clipped
+        for shape in ((1000,), (25, 40), (1, 1000)):
+            got = equilibrium(rho.reshape(shape), p)
+            for g, w in zip(got, want):
+                assert g.shape == shape and g.tobytes() == w.tobytes()
+        for value in rho[:6].tolist():  # a scalar gives two floats, signed zeros included
+            got = equilibrium(value, p)
+            assert list(map(repr, got)) == [repr(float(w)) for w in self.expression(value, p)[1]]
+
     def test_momentum_consistency(self):
         for p in sample_params(6):
             for rho in (0.3, 1.0, 1.6):

@@ -1,17 +1,25 @@
 """Lattice tests: grids, velocity sets, stepping, symmetries, 2D coefficients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qlgburgers.collision import CollisionParams, equilibrium
+from qlgburgers import lattice
+from qlgburgers.collision import (
+    CollisionParams,
+    PopulationRangeError,
+    collide_closed_form,
+    equilibrium,
+)
 from qlgburgers.lattice import (
     AXIS_SYMMETRIC,
     ORTHOGONAL,
     TRIANGULAR,
     Grid1D,
     Grid2D,
+    PopulationField,
     PopulationField1D,
     VelocitySet2D,
     density,
@@ -523,3 +531,143 @@ class TestPredictedCoefficients2D:
         for vset in (AXIS_SYMMETRIC, ORTHOGONAL, TRIANGULAR):
             c = predicted_coefficients_2d(vset, P3, 0.5, 0.25)
             assert c.D[0, 1] == c.D[1, 0]
+
+
+def whole_field_step(fld, params, vset, reversed_streaming=False):
+    """The untiled step: one collision of the whole field, then streaming."""
+    g0, g1 = collide_closed_form(fld.f0, fld.f1, params)
+    f0, f1 = stream_2d(g0, g1, vset, reversed_streaming)
+    return PopulationField(f0=f0, f1=f1, grid=fld.grid, t=fld.t + 1)
+
+
+def tiles_of(monkeypatch, sites):
+    """Make every closed-form 2D step tile, in tiles of ``sites`` sites."""
+    monkeypatch.setattr(lattice, "_TILE_SITES", sites)
+    monkeypatch.setattr(lattice, "_TILE_MIN_SITES", 0)
+
+
+class TestTiledStep:
+    # a large field collides and streams in row tiles, bit for bit as one whole-field step
+    FIG8_SET4 = TestStreamingEqualsRoll.FIG8_SET4
+    PARAMS = CollisionParams(theta=0.9, zeta=0.4, xi=-0.1)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.t == want.t
+        for g, w in ((got.f0, want.f0), (got.f1, want.f1)):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def check_chain(self, monkeypatch, grid, vset, tile_sites, steps=4, reversed_streaming=False):
+        fld = init_cosine_2d(grid, 1.0, 0.4, self.PARAMS)
+        want = fld
+        for _ in range(steps):
+            want = whole_field_step(want, self.PARAMS, vset, reversed_streaming)
+        tiles_of(monkeypatch, tile_sites)
+        got = fld
+        for _ in range(steps):
+            got = step_2d(got, self.PARAMS, vset, reversed_streaming=reversed_streaming)
+        self.assert_same(got, want)
+
+    # (shape, tile sites): tiles whose row count does not divide n_x, and tiles of one row
+    # when a row holds more sites than a tile
+    SHAPES = [
+        ((300, 200), 7 * 200),
+        ((1000, 70), 13 * 70),
+        ((64, 64), 5 * 64),
+        ((37, 5), 20),
+        ((9, 50), 10),
+    ]
+
+    @pytest.mark.parametrize("vset", [AXIS_SYMMETRIC, ORTHOGONAL, TRIANGULAR, FIG8_SET4])
+    @pytest.mark.parametrize("shape, tile_sites", SHAPES)
+    @pytest.mark.parametrize("reversed_streaming", [False, True])
+    def test_chained_steps_equal_whole_field(
+        self, monkeypatch, vset, shape, tile_sites, reversed_streaming
+    ):
+        grid = Grid2D(*shape, ds=1.0)
+        self.check_chain(monkeypatch, grid, vset, tile_sites, reversed_streaming=reversed_streaming)
+
+    @pytest.mark.parametrize(
+        "shifts",
+        [((700, -3), (-1025, 513)), ((37, 0), (0, -74)), ((-38, 6), (75, 1)), ((2, 5), (-1, -5))],
+    )
+    @pytest.mark.parametrize("reversed_streaming", [False, True])
+    def test_shifts_beyond_the_grid(self, monkeypatch, shifts, reversed_streaming):
+        # 37 rows in tiles of 4 rows, 5 columns: whole periods, wraps and moves of many rows
+        vset = VelocitySet2D(shifts=shifts)
+        grid = Grid2D(37, 5, ds=1.0)
+        self.check_chain(monkeypatch, grid, vset, 20, reversed_streaming=reversed_streaming)
+
+    @staticmethod
+    def count_collide_calls(monkeypatch):
+        """The shapes of the populations each later collision of a step is called with."""
+        calls = []
+
+        def counted(f0, f1, params):
+            calls.append(np.shape(f0))
+            return collide_closed_form(f0, f1, params)
+
+        monkeypatch.setattr(lattice, "collide_closed_form", counted)
+        return calls
+
+    def test_default_threshold(self, monkeypatch):
+        # 512 x 512 sites are tiles of 64 rows; a field of two tiles or fewer is collided whole
+        fields = {n: init_cosine_2d(Grid2D(n, n, ds=1.0), 1.0, 0.4, P3) for n in (256, 512)}
+        want = {n: whole_field_step(fld, P3, ORTHOGONAL) for n, fld in fields.items()}
+        calls = self.count_collide_calls(monkeypatch)
+        for n, fld in fields.items():
+            self.assert_same(step_2d(fld, P3, ORTHOGONAL), want[n])
+        assert calls == [(256, 256)] + [(64, 512)] * 8
+
+    def test_bad_f0_in_a_later_tile_is_named_before_bad_f1_in_the_first(self, monkeypatch):
+        grid = Grid2D(n_x=30, n_y=8, ds=1.0)
+        f0, f1 = np.full((30, 8), 0.5), np.full((30, 8), 0.5)
+        f1[1, 2] = 1.7  # first tile of 4 rows
+        f0[21, 5] = -0.25  # sixth tile
+        fld = PopulationField(f0=f0, f1=f1, grid=grid, t=11)
+        with pytest.raises(PopulationRangeError) as whole:
+            step_2d(fld, P3, TRIANGULAR)
+        tiles_of(monkeypatch, 32)
+        calls = self.count_collide_calls(monkeypatch)
+        with pytest.raises(PopulationRangeError) as tiled:
+            step_2d(fld, P3, TRIANGULAR)
+        assert calls == [(4, 8), (30, 8)]  # the first tile fails; the whole field names the site
+        assert str(tiled.value) == str(whole.value)
+        assert str(tiled.value).startswith(
+            "collision failed at t=11, site (i, j)=(21, 5): population f0 out of [0, 1]: -0.25"
+        )
+        assert (tiled.value.index, tiled.value.value) == (whole.value.index, whole.value.value)
+        assert (tiled.value.index, tiled.value.value) == (173, -0.25)
+
+    def test_round_off_in_a_later_tile_is_clipped_as_before(self, monkeypatch):
+        fld = init_cosine_2d(Grid2D(n_x=30, n_y=8, ds=1.0), 1.0, 0.4, P3)
+        fld.f0[25, 3] = -5e-13
+        fld.f1[17, 0] = 1.0 + 5e-13
+        want = whole_field_step(fld, P3, ORTHOGONAL)
+        tiles_of(monkeypatch, 32)
+        self.assert_same(step_2d(fld, P3, ORTHOGONAL), want)
+
+
+class TestMemoryBudget:
+    # tracemalloc peaks at 512 x 512 (2 MB per population); they read no clock
+    GRID = Grid2D(n_x=512, n_y=512, ds=1.0)
+
+    def test_init_cosine_2d_peak(self):
+        tracemalloc.start()
+        try:
+            init_cosine_2d(self.GRID, 1.0, 0.4, P3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9e6
+
+    def test_step_2d_peak_counting_its_field(self):
+        tracemalloc.start()
+        try:
+            fld = init_cosine_2d(self.GRID, 1.0, 0.4, P3)
+            tracemalloc.reset_peak()
+            step_2d(fld, P3, ORTHOGONAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
