@@ -8,7 +8,7 @@ anisotropic 2D equation, and the experiment drivers for the viscosity,
 shock-steepness and cross-validation studies.
 """
 
-from .analytic import AnalyticConfig, TruncationError, bessel_ratio, cole_hopf_density, residual_check
+from .analytic import AnalyticConfig, TruncationError, cole_hopf_density
 from .collision import (
     CollisionParams,
     PdeCoefficients1D,
@@ -19,7 +19,6 @@ from .collision import (
     equilibrium,
     jacobian_gap,
     measure_populations,
-    momentum_eq,
     omega,
     predicted_coefficients_1d,
     prepare_cell,
@@ -40,7 +39,7 @@ from .experiments import (
     steepness_sweep,
     viscosity_sweep,
 )
-from .fdm import FdmDivergenceError, fdm_step_1d, fdm_step_2d, substeps_auto
+from .fdm import FdmDivergenceError, fdm_step_2d, substeps_auto
 from .lattice import (
     AXIS_SYMMETRIC,
     NAMED_VELOCITY_SETS,
@@ -50,13 +49,10 @@ from .lattice import (
     Grid2D,
     PdeCoefficients2D,
     PopulationField,
-    PopulationField1D,
-    PopulationField2D,
     VelocitySet2D,
     density,
     init_cosine_1d,
     init_cosine_2d,
-    momentum_u,
     predicted_coefficients_2d,
     step_1d,
     step_2d,

@@ -39,7 +39,6 @@ __all__ = [
     "equilibrium",
     "jacobian_gap",
     "measure_populations",
-    "momentum_eq",
     "omega",
     "predicted_coefficients_1d",
     "prepare_cell",
@@ -308,13 +307,6 @@ def collide_closed_form(f0, f1, params) -> tuple:
     return g0, g1
 
 
-def _sqrt_terms(rho, alpha):
-    rho = np.asarray(rho, dtype=float)
-    p = math.sqrt(alpha * alpha + 1.0)
-    q = np.sqrt(alpha * alpha + 1.0 - 2.0 * alpha * alpha * rho + alpha * alpha * rho * rho)
-    return rho, p, q
-
-
 def equilibrium(rho, params: CollisionParams) -> tuple:
     """Equilibrium populations at mass density rho in [0, 2].
 
@@ -344,7 +336,7 @@ def equilibrium(rho, params: CollisionParams) -> tuple:
         np.copyto(f0, f1)
     else:
         # gap = (p - q) / (2a) with q = sqrt(a a + 1 - 2 a a rho + a a rho rho), one
-        # operation per pass in the association of _sqrt_terms; f0 is scratch
+        # operation per pass in that association; f0 is scratch
         aa = a * a
         gap = np.multiply(2.0 * a * a, rho_arr, out=np.empty(rho_arr.shape))
         np.subtract(aa + 1.0, gap, out=gap)
@@ -364,25 +356,6 @@ def equilibrium(rho, params: CollisionParams) -> tuple:
     return f0, f1
 
 
-def momentum_eq(rho, params: CollisionParams):
-    """Equilibrium momentum u = f1_eq - f0_eq.
-
-    u = (sqrt(1 + a^2) - sqrt(1 + a^2 (rho-1)^2)) / a, with limit 0 as
-    alpha -> 0.  The sign follows the fixed-point branch used by
-    :func:`equilibrium`.
-    """
-    rho_arr = np.asarray(rho, dtype=float)
-    a = params.alpha()
-    if abs(a) < ALPHA_SYMMETRIC_CUTOFF:
-        out = np.zeros_like(rho_arr)
-    else:
-        rho_arr, p, q = _sqrt_terms(rho_arr, a)
-        out = (p - q) / a
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def jacobian_gap(rho, params: CollisionParams):
     """Difference J1 - J0 of the collision Jacobian at equilibrium.
 
@@ -394,9 +367,10 @@ def jacobian_gap(rho, params: CollisionParams):
     This is checked against a central finite difference of omega in the
     tests; it fixes the viscosity correction through 1/(J1 - J0).
     """
-    rho_arr, p, q = _sqrt_terms(rho, params.alpha())
-    s2 = math.sin(params.theta) ** 2
-    out = -2.0 * s2 * p * q
+    rho = np.asarray(rho, dtype=float)
+    a = params.alpha()
+    q = np.sqrt(a * a + 1.0 - 2.0 * a * a * rho + a * a * rho * rho)
+    out = -2.0 * math.sin(params.theta) ** 2 * math.sqrt(a * a + 1.0) * q
     if np.ndim(out) == 0:
         return float(out)
     return out

@@ -8,8 +8,9 @@ with explicit Euler in time and second-order central differences in
 space (the cross derivative uses the 4-point corner stencil), periodic
 boundaries.  The 1D equation d_t rho + c_s (1 - rho) d_x rho = nu d_xx rho
 is its case a = 0, b = (c_s, 0), D = diag(nu, 0) on a single column, whose
-y terms are exact zeros: a rank-1 field is updated as one column, and
-``_axis_aligned`` is the one statement of that coefficient set.  The
+y terms are exact zeros: :func:`fdm_step_2d` updates a rank-1 field as one
+column, there is no separate 1D update, and ``_axis_aligned`` is the one
+statement of that coefficient set.  The
 nonlinear term is discretized non-conservatively, exactly as the equation
 is written.
 
@@ -46,7 +47,6 @@ from .lattice import PdeCoefficients2D
 __all__ = [
     "FdmDivergenceError",
     "divergence_check",
-    "fdm_step_1d",
     "fdm_step_2d",
     "substeps_auto",
 ]
@@ -99,11 +99,13 @@ def _buffers(shape, work):
     return bufs
 
 
-def _euler(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.ndarray:
-    """Explicit Euler update of the 2D equation; axis 0 of ``rho`` is x, axis 1 is y.
+def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.ndarray:
+    """One explicit Euler update of the 2D equation, periodic; ``coeffs`` has a, b and D.
 
-    A rank-1 ``rho`` is one column (n_y = 1), and the result has its shape.
-    Each pass forms one operation of
+    Axis 0 of ``rho`` is x and axis 1 is y.  A rank-1 ``rho`` is one column
+    (n_y = 1), and the result has its shape.  ``work`` is an optional dict in
+    which the update keeps its buffers between calls; a run passes one to all
+    its updates.  Each pass forms one operation of
 
         rho + dt (-(a0 rx + a1 ry + (1 - rho)(b0 rx + b1 ry))
                   + (d00 rxx + d11 ryy + (2 d01) rxy)),
@@ -154,26 +156,6 @@ def _euler(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.ndarr
     np.multiply(q, dt, out=q)
     out = np.add(field, update, out=np.empty(field.shape))
     return out.reshape(rho.shape)  # a new field
-
-
-def fdm_step_1d(
-    rho: np.ndarray, c_s: float, nu: float, dx: float, dt: float, work=None
-) -> np.ndarray:
-    """One explicit Euler update of the 1D equation, periodic: the 2D update on one column.
-
-    ``work`` is an optional dict in which the update keeps its buffers
-    between calls; a run passes one to all its updates.
-    """
-    return _euler(rho, _axis_aligned(c_s, nu), dx, dt, work)
-
-
-def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.ndarray:
-    """One explicit Euler update of the 2D equation, periodic; ``coeffs`` has a, b and D.
-
-    A rank-1 ``rho`` is updated as one column.  ``work`` is as for
-    :func:`fdm_step_1d`.
-    """
-    return _euler(rho, coeffs, ds, dt, work)
 
 
 # The largest substep count per lattice step that substeps_auto returns: a

@@ -24,6 +24,7 @@ gain, go through ``format()`` itself.  Mixed rows of Python values
 
 from __future__ import annotations
 
+import glob
 import json
 import math
 from pathlib import Path
@@ -32,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "read_trace_1d",
-    "read_trace_2d",
     "snapshot_filename",
     "write_density_snapshot_1d",
     "write_manifest",
@@ -276,16 +276,20 @@ def write_rows_csv(path, header, rows) -> None:
         fh.writelines(",".join([_cell(v) for v in row]) + "\n" for row in rows)
 
 
-def _read_trace(directory, run_id: str):
-    """(steps, xs, rho) of every ``{run_id}_t{step}.csv`` under ``directory``, ordered by step."""
+def read_trace_1d(directory, run_id: str):
+    """Read the snapshots of a run back into arrays.
+
+    The snapshots are the files ``{run_id}_t{step}.csv`` under ``directory``
+    whose ``step`` is a string of ASCII digits; ``run_id`` is matched
+    literally, never as a glob pattern.  Returns (steps, xs, rho) with rho of
+    shape (n_snapshots, n_x), ordered by step.
+    """
     directory = Path(directory)
     found = []
-    for path in directory.glob(f"{run_id}_t*.csv"):
-        try:
-            step = int(path.stem[len(run_id) + 2 :])
-        except ValueError:
-            continue
-        found.append((step, path))
+    for path in directory.glob(f"{glob.escape(run_id)}_t*.csv"):
+        step = path.stem[len(run_id) + 2 :]
+        if step.isascii() and step.isdigit():
+            found.append((int(step), path))
     if not found:
         raise FileNotFoundError(f"no snapshots matching {run_id}_t*.csv under {directory}")
     steps, xs, rhos = [], None, []
@@ -301,21 +305,6 @@ def _read_trace(directory, run_id: str):
         rhos.append(data[:, 1])
         steps.append(step)
     return np.asarray(steps), xs, np.stack(rhos)
-
-
-def read_trace_1d(directory, run_id: str):
-    """Read the snapshots written by a 1D run back into arrays.
-
-    Returns (steps, xs, rho) with rho of shape (n_snapshots, n_x),
-    ordered by step.
-    """
-    return _read_trace(directory, run_id)
-
-
-def read_trace_2d(directory, run_id: str, n_x: int, n_y: int):
-    """Read 2D snapshots back; returns (steps, rho) with shape (n, n_x, n_y)."""
-    steps, _, rho = _read_trace(directory, run_id)
-    return steps, rho.reshape(len(steps), n_x, n_y)
 
 
 def write_manifest(path, resolved_config, version: str, timings, extra=None) -> None:

@@ -17,9 +17,10 @@ A closed-form 2D step of a field of more than ``_TILE_MIN_SITES`` sites
 (two tiles) runs in row tiles of about ``_TILE_SITES`` = 2^15 sites, which
 fit a core's L2 cache: each tile is collided with the one collision kernel
 and its populations are copied straight to their streamed rows and columns
-in the two new arrays, at most four slice copies per population.  No
-whole-field collision term or unstreamed pair is formed, and every site
-gets the same operations, so the bytes are those of the whole-field step.
+in the two new arrays by streaming's own slice copies, restricted to the
+tile's rows: at most four per population.  No whole-field collision term
+or unstreamed pair is formed, and every site gets the same operations, so
+the bytes are those of the whole-field step.
 A range error in any tile drops the tiles and reruns the step on the whole
 field, which raises the error with the usual text, naming the first bad
 site of f0 before any of f1.  Smaller fields, batches and the quantum path
@@ -52,13 +53,10 @@ __all__ = [
     "Grid2D",
     "PdeCoefficients2D",
     "PopulationField",
-    "PopulationField1D",
-    "PopulationField2D",
     "VelocitySet2D",
     "density",
     "init_cosine_1d",
     "init_cosine_2d",
-    "momentum_u",
     "predicted_coefficients_2d",
     "step_1d",
     "step_2d",
@@ -122,10 +120,6 @@ class Grid2D:
     @property
     def dt(self) -> float:
         return self.ds * self.ds
-
-    @property
-    def c(self) -> float:
-        return self.ds / self.dt
 
     @property
     def shape(self) -> tuple:
@@ -245,17 +239,9 @@ class PopulationField:
             )
 
 
-PopulationField1D = PopulationField2D = PopulationField
-
-
 def density(fld):
     """Pointwise mass density rho = f0 + f1."""
     return fld.f0 + fld.f1
-
-
-def momentum_u(fld):
-    """Pointwise momentum u = f1 - f0."""
-    return fld.f1 - fld.f0
 
 
 def _cosine_density(grid, rho_b: float, rho_a: float) -> np.ndarray:
@@ -363,27 +349,27 @@ def _roll(f0, f1, shifts, reversed_streaming: bool) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=64)
-def _slice_copies(shift, sign, shape):
+@functools.lru_cache(maxsize=256)
+def _slice_copies(shift, sign, shape, start=0, size=None):
     """(destination, source) index pairs that move an array whose trailing axes have
-    ``shape`` periodically by ``sign * shift[k]`` sites along axis k."""
+    ``shape`` periodically by ``sign * shift[k]`` sites along axis k.
+
+    ``start`` and ``size`` pick the rows [start, start + size) of the first
+    trailing axis, all of them by default; the source slices index those rows
+    alone.  Each axis takes at most two pairs, the second one the wrap.
+    """
     copies = (((...,), (...,)),)
-    for c, n in zip(shift, shape):
-        parts = _axis_parts(sign * int(c), n, 0, n) if n else ((slice(None), slice(None)),)
+    spans = ((start, shape[0] - start if size is None else size),) + tuple((0, n) for n in shape[1:])
+    for c, n, (lo, m) in zip(shift, shape, spans):
+        parts = ((slice(None), slice(None)),)
+        if n:
+            to = (lo + sign * int(c)) % n
+            head = min(m, n - to)
+            parts = ((slice(to, to + head), slice(0, head)),)
+            if head < m:
+                parts += ((slice(0, m - head), slice(head, m)),)
         copies = tuple((dst + (d,), src + (s,)) for dst, src in copies for d, s in parts)
     return copies
-
-
-def _axis_parts(c, n, start, size):
-    """(destination, source) slice pairs along an axis of ``n`` sites that move the
-    ``size`` sites from ``start`` on periodically by ``c`` sites; the source slices
-    index those ``size`` sites alone.  At most two pairs, the second one the wrap."""
-    d = (start + c) % n
-    head = min(size, n - d)
-    parts = ((slice(d, d + head), slice(0, head)),)
-    if head < size:
-        parts += ((slice(0, size - head), slice(head, size)),)
-    return parts
 
 
 # A closed-form step of a 2D field of more than _TILE_MIN_SITES sites collides it
@@ -394,40 +380,24 @@ _TILE_SITES = 1 << 15
 _TILE_MIN_SITES = 2 * _TILE_SITES
 
 
-@functools.lru_cache(maxsize=16)
-def _tile_plan(shifts, sign, shape, rows):
-    """(row slice, (copies of f0, copies of f1)) for each tile of ``rows`` rows of a
-    field of ``shape``: the (destination, source) pairs that put the tile's
-    populations where streaming by ``sign * shifts[i]`` moves them."""
-    n_x, n_y = shape
-    plan = []
-    for start in range(0, n_x, rows):
-        size = min(rows, n_x - start)
-        copies = tuple(
-            tuple(
-                ((rd, cd), (rs, cs))
-                for rd, rs in _axis_parts(sign * c0, n_x, start, size)
-                for cd, cs in _axis_parts(sign * c1, n_y, 0, n_y)
-            )
-            for c0, c1 in shifts
-        )
-        plan.append((slice(start, start + size), copies))
-    return tuple(plan)
-
-
 def _collide_and_stream_tiles(f0, f1, params, shifts, reversed_streaming):
     """Closed-form collision and streaming of a 2D field, one row tile at a time.
 
     Each tile's collided populations are copied straight into their streamed
-    places in the two new arrays, so no whole-field collision term or
-    unstreamed pair is formed.  Every site goes through the same operations
-    as in the whole-field call, so the result is the same bit for bit.
+    places in the two new arrays by the slice copies of streaming, restricted to
+    the tile's rows, so no whole-field collision term or unstreamed pair is
+    formed.  Every site goes through the same operations as in the whole-field
+    call, so the result is the same bit for bit.
     """
+    sign = -1 if reversed_streaming else 1
+    n_x = f0.shape[0]
     rows = max(1, _TILE_SITES // f0.shape[1])
     out = np.empty(f0.shape), np.empty(f0.shape)
-    for tile, copies in _tile_plan(shifts, -1 if reversed_streaming else 1, f0.shape, rows):
-        for g, moved, pairs in zip(collide_closed_form(f0[tile], f1[tile], params), out, copies):
-            for dst, src in pairs:
+    for start in range(0, n_x, rows):
+        size = min(rows, n_x - start)
+        tile = slice(start, start + size)
+        for g, moved, shift in zip(collide_closed_form(f0[tile], f1[tile], params), out, shifts):
+            for dst, src in _slice_copies(shift, sign, f0.shape, start, size):
                 moved[dst] = g[src]
     return out
 

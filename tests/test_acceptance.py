@@ -40,7 +40,7 @@ from qlgburgers.lattice import (
     TRIANGULAR,
     Grid1D,
     Grid2D,
-    PopulationField1D,
+    PopulationField,
     init_cosine_2d,
     predicted_coefficients_2d,
     step_1d,
@@ -222,7 +222,7 @@ def test_criterion_6a_axis_set_reduces_to_1d_bitwise():
     grid1 = Grid1D(n_x=64, length_x=64.0)
     bitwise = True
     for j, (f0, f1) in start_cols.items():
-        fld1 = PopulationField1D(f0=f0, f1=f1, grid=grid1)
+        fld1 = PopulationField(f0=f0, f1=f1, grid=grid1)
         for _ in range(30):
             fld1 = step_1d(fld1, params)
         bitwise = bitwise and np.array_equal(fld2.f0[:, j], fld1.f0)

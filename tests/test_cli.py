@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -476,7 +477,7 @@ class TestOtherCommands:
         assert header == "t,x,y,rho,u,f0,f1"
 
     def test_2d_snapshots_read_back(self, tmp_path):
-        from qlgburgers.io import read_trace_2d
+        from qlgburgers.io import read_trace_1d
 
         cfg = {
             "model": "d2q2",
@@ -490,9 +491,9 @@ class TestOtherCommands:
         }
         out = tmp_path / "out"
         main(["simulate2d", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
-        steps, rho = read_trace_2d(out, "rb", n_x=8, n_y=6)
+        steps, _, rho = read_trace_1d(out, "rb")
         assert list(steps) == [0, 2, 4]
-        assert rho.shape == (3, 8, 6)
+        assert rho.shape == (3, 8 * 6)
         assert float(rho[0].sum()) == pytest.approx(48.0, abs=1e-8)
 
     def test_analytic_snapshots(self, tmp_path):
@@ -653,6 +654,57 @@ class TestOtherCommands:
             assert lines[0] == "t,metric"
             values = [float(l.split(",")[1]) for l in lines[1:]]
             assert all(np.isfinite(values))
+
+    @staticmethod
+    def compare_analytic(tmp_path, input_run_id, overrides=(), **over):
+        """Exit code of compare-analytic on a 1D setup, reading run ``input_run_id`` of ``tmp_path / 'sim'``."""
+        cfg = {
+            **{k: small_1d_config(**over)[k] for k in ("grid", "collision", "initial")},
+            "model": "compare-analytic",
+            "run_id": "cmp",
+            "compare": {"input": str(tmp_path / "sim"), "input_run_id": input_run_id},
+        }
+        path = write_config(tmp_path, cfg, name="cmp.yaml")
+        extra = [arg for override in overrides for arg in ("--override", override)]
+        return main(["compare-analytic", "--config", str(path), "--out", str(tmp_path / "cmp"), *extra])
+
+    @staticmethod
+    def simulate(tmp_path, run_id, **over):
+        cfg = write_config(tmp_path, small_1d_config(run_id=run_id, **over), name="sim.yaml")
+        assert main(["simulate1d", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+
+    def test_compare_analytic_reads_a_run_id_literally(self, tmp_path, capsys):
+        # a run id holding glob characters names its own snapshots, and only them
+        self.simulate(tmp_path, "fig[4]")
+        self.simulate(tmp_path, "ab")
+        assert (tmp_path / "sim" / "fig[4]_t0.csv").exists()
+        assert self.compare_analytic(tmp_path, "fig[4]") == 0
+        capsys.readouterr()
+        assert self.compare_analytic(tmp_path, "a?") == 1
+        assert capsys.readouterr().err.startswith("config error: no snapshots matching a?_t*.csv")
+
+    @pytest.mark.parametrize("command", ["analytic", "compare-analytic"])
+    def test_theta_near_half_pi_exits_before_the_series(self, tmp_path, capsys, command):
+        # the Bessel argument A grows like 1/(pi/2 - theta): on the fig4 setup A = 8e7,
+        # whose recurrence table alone would take 1.3 GB per evaluation
+        theta = "collision.theta=1.5707962267948966"  # pi/2 - 1e-7
+        fig4 = {"grid": {"n_x": 64, "length_x": 2.0}, "initial": {"rho_b": 1.0, "rho_a": 0.4}}
+        self.simulate(tmp_path, "src", **fig4)
+        capsys.readouterr()
+        start = time.perf_counter()
+        if command == "analytic":
+            cfg = write_config(tmp_path, {**small_1d_config(**fig4), "model": "analytic"})
+            rc = main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "ana"), "--override", theta])
+        else:
+            rc = self.compare_analytic(tmp_path, "src", [theta], **fig4)
+        assert time.perf_counter() - start < 2.0
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0] == (
+            "config error: config key 'collision.theta' invalid: "
+            "Bessel argument A = 7.97796e+07 exceeds 10000000 in magnitude"
+        )
 
     def test_compare_2d_pipeline(self, tmp_path):
         cfg = {

@@ -18,7 +18,6 @@ from qlgburgers.collision import (
     equilibrium,
     jacobian_gap,
     measure_populations,
-    momentum_eq,
     omega,
     predicted_coefficients_1d,
     prepare_cell,
@@ -364,21 +363,29 @@ class TestEquilibrium:
             got = equilibrium(value, p)
             assert list(map(repr, got)) == [repr(float(w)) for w in self.expression(value, p)[1]]
 
+    @staticmethod
+    def momentum(rho, p):
+        """Equilibrium momentum u = f1 - f0 = (sqrt(1 + a^2) - sqrt(1 + a^2 (rho - 1)^2)) / a."""
+        a = p.alpha()
+        return (math.sqrt(a * a + 1.0) - math.sqrt(a * a + 1.0 - 2.0 * a * a * rho + a * a * rho * rho)) / a
+
     def test_momentum_consistency(self):
         for p in sample_params(6):
             for rho in (0.3, 1.0, 1.6):
                 f0, f1 = equilibrium(rho, p)
-                assert f1 - f0 == pytest.approx(momentum_eq(rho, p), abs=1e-12)
+                assert f1 - f0 == pytest.approx(self.momentum(rho, p), abs=1e-12)
 
     def test_momentum_at_rho_one(self):
         # u(1) = (sqrt(1 + a^2) - 1)/a on the fixed-point branch
         for theta in (0.4, 0.9, 1.3):
             p = CollisionParams(theta=theta)
             a = p.alpha()
-            assert momentum_eq(1.0, p) == pytest.approx((math.sqrt(1 + a * a) - 1) / a, rel=1e-12)
+            f0, f1 = equilibrium(1.0, p)
+            assert f1 - f0 == pytest.approx((math.sqrt(1 + a * a) - 1) / a, rel=1e-12)
 
     def test_momentum_alpha_zero(self):
-        assert momentum_eq(1.3, CollisionParams(theta=math.pi / 2)) == 0.0
+        f0, f1 = equilibrium(1.3, CollisionParams(theta=math.pi / 2))
+        assert f1 - f0 == 0.0
 
 
 def jacobian_gap_fd(rho, params, h=1e-6):

@@ -13,7 +13,6 @@ from qlgburgers.fdm import (
     FdmDivergenceError,
     _axis_aligned,
     divergence_check,
-    fdm_step_1d,
     fdm_step_2d,
     substeps_auto,
 )
@@ -39,7 +38,7 @@ def pure_diffusion(nu):
 class TestStencils:
     def test_uniform_field_invariant_1d(self):
         rho = np.full(32, 1.3)
-        out = fdm_step_1d(rho, c_s=2.0, nu=0.1, dx=1.0, dt=0.2)
+        out = fdm_step_2d(rho, _axis_aligned(2.0, 0.1), 1.0, 0.2)
         assert np.array_equal(out, rho)
 
     def test_uniform_field_invariant_2d(self):
@@ -56,7 +55,7 @@ class TestStencils:
         x = np.arange(n)
         rho = 1.0 + 1e-4 * np.cos(beta * x)
         for _ in range(steps):
-            rho = fdm_step_1d(rho, c_s=0.0, nu=nu, dx=dx, dt=dt)
+            rho = fdm_step_2d(rho, _axis_aligned(0.0, nu), dx, dt)
         amp = 2.0 * float(np.mean((rho - 1.0) * np.cos(beta * x)))
         expected = 1e-4 * math.exp(-nu * beta**2 * steps)
         assert amp == pytest.approx(expected, rel=0.01)
@@ -102,7 +101,7 @@ class TestStencils:
         rho1 = row.copy()
         for _ in range(25):
             rho2 = fdm_step_2d(rho2, coeffs, ds=1.0, dt=1.0)
-            rho1 = fdm_step_1d(rho1, c_s=c1d.c_s, nu=c1d.nu, dx=1.0, dt=1.0)
+            rho1 = fdm_step_2d(rho1, _axis_aligned(c1d.c_s, c1d.nu), 1.0, 1.0)
         for j in range(5):
             assert np.array_equal(rho2[:, j], rho1)
 
@@ -113,7 +112,7 @@ class TestStencils:
         rho = 1.0 + 0.1 * rng.standard_normal(64)
         mass0 = float(np.sum(rho))
         for _ in range(1000):
-            rho = fdm_step_1d(rho, c_s=0.3, nu=0.05, dx=1.0, dt=0.5)
+            rho = fdm_step_2d(rho, _axis_aligned(0.3, 0.05), 1.0, 0.5)
         assert float(np.sum(rho)) == pytest.approx(mass0, abs=1e-10)
 
 
@@ -170,7 +169,7 @@ class TestNeighbourReads:
         rng = np.random.default_rng(6)
         rho = ref = rng.uniform(0.6, 1.4, n)
         for _ in range(6):
-            rho = fdm_step_1d(rho, c_s=0.8, nu=0.05, dx=0.9, dt=0.3)
+            rho = fdm_step_2d(rho, _axis_aligned(0.8, 0.05), 0.9, 0.3)
             ref = roll_step_1d(ref, c_s=0.8, nu=0.05, dx=0.9, dt=0.3)
             assert np.array_equal(rho, ref)
 
@@ -213,7 +212,7 @@ class TestNeighbourReads:
             ref[shape] = roll_step_2d(ref[shape], self.COEFFS, ds=0.9, dt=0.3)
             assert np.array_equal(rho[shape], ref[shape])
             # the 1D update runs on a (9, 1) column, the same buffers as the 2D one
-            line = fdm_step_1d(line, c_s=0.8, nu=0.05, dx=0.9, dt=0.3, work=work)
+            line = fdm_step_2d(line, _axis_aligned(0.8, 0.05), 0.9, 0.3, work)
             line_ref = roll_step_1d(line_ref, c_s=0.8, nu=0.05, dx=0.9, dt=0.3)
             assert np.array_equal(line, line_ref)
         assert sorted(work) == [(5, 7), (9, 1), (64, 64)]
@@ -221,13 +220,13 @@ class TestNeighbourReads:
     @pytest.mark.parametrize("n", [64, 5, 2, 1])
     def test_2d_update_of_a_line_is_the_1d_update(self, n):
         # a rank-1 field is one column: the 2D update with the axis-aligned set,
-        # chained, gives the 1D update bit for bit and keeps the field rank 1
+        # chained, gives the np.roll 1D update bit for bit and keeps the field rank 1
         coeffs = _axis_aligned(0.8, 0.05)
         rho = ref = np.random.default_rng(12).uniform(0.6, 1.4, n)
         work = {}
         for _ in range(8):
             rho = fdm_step_2d(rho, coeffs, ds=0.9, dt=0.3, work=work)
-            ref = fdm_step_1d(ref, c_s=0.8, nu=0.05, dx=0.9, dt=0.3)
+            ref = roll_step_1d(ref, c_s=0.8, nu=0.05, dx=0.9, dt=0.3)
             assert rho.shape == (n,)
             assert np.array_equal(rho, ref)
 
@@ -262,12 +261,12 @@ class TestNeighbourReads:
 
 
 def chained_run_1d(grid, c_s, nu, rho_b, rho_a, steps, stride, substeps):
-    """(snapshots, steps, (error text, step) or None) of fdm_step_1d calls and checks in a loop."""
-    rho = _cosine_density(grid, rho_b, rho_a)
+    """(snapshots, steps, (error text, step) or None) of axis-aligned updates and checks in a loop."""
+    rho, coeffs = _cosine_density(grid, rho_b, rho_a), _axis_aligned(c_s, nu)
     snaps, kept = [rho], [0]
     for t in range(1, steps + 1):
         for _ in range(substeps):
-            rho = fdm_step_1d(rho, c_s, nu, grid.dx, grid.dt / substeps)
+            rho = fdm_step_2d(rho, coeffs, grid.dx, grid.dt / substeps)
         try:
             divergence_check(rho, rho_b, rho_a, t)
         except FdmDivergenceError as err:

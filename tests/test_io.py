@@ -11,13 +11,12 @@ from qlgburgers.io import (
     _VECTOR_MIN,
     _format17g,
     read_trace_1d,
-    read_trace_2d,
     write_density_snapshot_1d,
     write_rows_csv,
     write_snapshot_1d,
     write_snapshot_2d,
 )
-from qlgburgers.lattice import Grid1D, Grid2D, PopulationField1D, PopulationField2D
+from qlgburgers.lattice import Grid1D, Grid2D, PopulationField
 
 # Values whose shortest and 17-digit forms differ, a signed zero, the
 # smallest subnormal and a repeating fraction.
@@ -26,12 +25,12 @@ F1 = np.array([-0.0, 1 / 3, 5e-324, 0.1 + 0.2])
 
 
 def field_1d(t=3):
-    return PopulationField1D(f0=F0, f1=F1, grid=Grid1D(n_x=4, length_x=1.0), t=t)
+    return PopulationField(f0=F0, f1=F1, grid=Grid1D(n_x=4, length_x=1.0), t=t)
 
 
 def field_2d(t=1):
     grid = Grid2D(n_x=2, n_y=2, ds=0.1)
-    return PopulationField2D(f0=F0.reshape(2, 2), f1=F1.reshape(2, 2), grid=grid, t=t)
+    return PopulationField(f0=F0.reshape(2, 2), f1=F1.reshape(2, 2), grid=grid, t=t)
 
 
 def texts(slots):
@@ -112,7 +111,7 @@ class TestGoldenBytes:
         grid = Grid2D(n_x=70, n_y=70, ds=0.3)
         rng = np.random.default_rng(7)
         f0, f1 = rng.random((2, 70, 70))
-        write_snapshot_2d(tmp_path / "big.csv", PopulationField2D(f0=f0, f1=f1, grid=grid, t=5))
+        write_snapshot_2d(tmp_path / "big.csv", PopulationField(f0=f0, f1=f1, grid=grid, t=5))
         lines = (tmp_path / "big.csv").read_text().splitlines()
         assert len(lines) == 1 + 70 * 70
         for i, j in ((0, 0), (58, 35), (58, 36), (69, 69)):
@@ -130,12 +129,21 @@ class TestReadersExact:
         assert same_bits(rho, np.stack([F0 + F1, F0 + F1]))
 
     def test_read_trace_2d(self, tmp_path):
+        # a 2D snapshot reads back as its sites in file order, y varying fastest
         write_snapshot_2d(tmp_path / "run_t1.csv", field_2d(t=1))
         write_snapshot_2d(tmp_path / "run_t10.csv", field_2d(t=10))
-        steps, rho = read_trace_2d(tmp_path, "run", 2, 2)
+        steps, xs, rho = read_trace_1d(tmp_path, "run")
         assert steps.tolist() == [1, 10]
-        rho2 = (F0 + F1).reshape(2, 2)
-        assert same_bits(rho, np.stack([rho2, rho2]))
+        assert same_bits(xs, np.array([0.0, 0.0, 0.1, 0.1]))
+        assert same_bits(rho, np.stack([F0 + F1, F0 + F1]))
+
+    def test_step_suffix_is_ascii_digits_only(self, tmp_path):
+        write_snapshot_1d(tmp_path / "run_t2.csv", field_1d(t=2))
+        text = (tmp_path / "run_t2.csv").read_text()
+        for name in ("run_t+3.csv", "run_t 7.csv", "run_t1_0.csv", "run_t\u0663.csv", "run_t.csv"):
+            (tmp_path / name).write_text(text)
+        steps, _, _ = read_trace_1d(tmp_path, "run")
+        assert steps.tolist() == [2]
 
 
 # Raw float64 bit patterns: any at all, and patterns whose magnitude lies in
@@ -208,7 +216,7 @@ class TestGoldenBlocks:
         for row in (0, _BLOCK_ROWS + 500, n_x * n_y - 5):
             f0[row : row + 5] = [0.0, -0.0, 1e-5, 5e-324, np.nan]
             f1[row : row + 5] = [1e-5, 0.0, -0.0, 5e-324, 1e-3]
-        fld = PopulationField2D(f0=f0.reshape(n_x, n_y), f1=f1.reshape(n_x, n_y), grid=grid, t=7)
+        fld = PopulationField(f0=f0.reshape(n_x, n_y), f1=f1.reshape(n_x, n_y), grid=grid, t=7)
         write_snapshot_2d(tmp_path / "g.csv", fld)
         # one format() per cell is the reference
         expected = ["t,x,y,rho,u,f0,f1"]

@@ -20,12 +20,10 @@ from qlgburgers.lattice import (
     Grid1D,
     Grid2D,
     PopulationField,
-    PopulationField1D,
     VelocitySet2D,
     density,
     init_cosine_1d,
     init_cosine_2d,
-    momentum_u,
     predicted_coefficients_2d,
     step_1d,
     step_2d,
@@ -39,7 +37,7 @@ RNG = np.random.default_rng(7)
 
 
 def random_field_1d(grid, lo=0.1, hi=0.9):
-    return PopulationField1D(
+    return PopulationField(
         f0=RNG.uniform(lo, hi, grid.n_x), f1=RNG.uniform(lo, hi, grid.n_x), grid=grid
     )
 
@@ -121,11 +119,8 @@ class TestFieldShape:
         ],
     )
     def test_shape_not_matching_grid_rejected(self, grid, f0_shape, f1_shape):
-        from qlgburgers.lattice import PopulationField2D
-
-        field = PopulationField1D if isinstance(grid, Grid1D) else PopulationField2D
         with pytest.raises(ValueError, match="does not match grid"):
-            field(f0=np.full(f0_shape, 0.5), f1=np.full(f1_shape, 0.5), grid=grid)
+            PopulationField(f0=np.full(f0_shape, 0.5), f1=np.full(f1_shape, 0.5), grid=grid)
 
 
 class TestVelocitySets:
@@ -221,9 +216,6 @@ class TestInit:
         g = Grid1D(n_x=8, length_x=1.0)
         fld = random_field_1d(g)
         np.testing.assert_allclose(density(fld), fld.f0 + fld.f1)
-        np.testing.assert_allclose(momentum_u(fld), fld.f1 - fld.f0)
-        np.testing.assert_allclose(density(fld) + momentum_u(fld), 2 * fld.f1)
-        np.testing.assert_allclose(density(fld) - momentum_u(fld), 2 * fld.f0)
 
 
 class TestStreaming:
@@ -331,7 +323,7 @@ class TestStep1D:
         f1 = np.full(g.n_x, 0.25)
         x0 = 5
         f0[x0] = 0.75
-        fld = PopulationField1D(f0=f0, f1=f1, grid=g)
+        fld = PopulationField(f0=f0, f1=f1, grid=g)
         nxt = step_1d(fld, p)
         assert nxt.f1[x0 + 1] == pytest.approx(0.75, abs=1e-12)
         assert nxt.f0[x0 - 1] == pytest.approx(0.25, abs=1e-12)
@@ -361,7 +353,7 @@ class TestStep1D:
     def test_translation_equivariance(self):
         g = Grid1D(n_x=32, length_x=2.0)
         fld = init_cosine_1d(g, 1.0, 0.3, P3)
-        shifted = PopulationField1D(f0=np.roll(fld.f0, 5), f1=np.roll(fld.f1, 5), grid=g)
+        shifted = PopulationField(f0=np.roll(fld.f0, 5), f1=np.roll(fld.f1, 5), grid=g)
         a = step_1d(step_1d(fld, P3), P3)
         b = step_1d(step_1d(shifted, P3), P3)
         assert np.array_equal(np.roll(a.f0, 5), b.f0)
@@ -377,7 +369,7 @@ class TestStep1D:
         fld = random_field_1d(g)
 
         def mirror(f):
-            return PopulationField1D(
+            return PopulationField(
                 f0=np.roll(f.f1[::-1], 1), f1=np.roll(f.f0[::-1], 1), grid=g, t=f.t
             )
 
@@ -393,7 +385,7 @@ class TestStep1D:
         fld = random_field_1d(g)
 
         def mirror(f):
-            return PopulationField1D(
+            return PopulationField(
                 f0=np.roll(f.f1[::-1], 1), f1=np.roll(f.f0[::-1], 1), grid=g, t=f.t
             )
 
@@ -408,7 +400,7 @@ class TestStep1D:
         g = Grid1D(n_x=8, length_x=1.0)
         f0 = np.full(8, 0.5)
         f0[3] = 1.5
-        fld = PopulationField1D(f0=f0, f1=np.full(8, 0.5), grid=g, t=7)
+        fld = PopulationField(f0=f0, f1=np.full(8, 0.5), grid=g, t=7)
         with pytest.raises(PopulationRangeError, match=r"t=7.*x=3"):
             step_1d(fld, P3)
 
@@ -419,7 +411,7 @@ class TestStep1D:
         params = (CollisionParams(theta=1.0), P3, CollisionParams(theta=1.4))
         f0 = np.full((3, 8), 0.5)
         f0[1, 5] = 1.5
-        fld = PopulationField1D(f0=f0, f1=np.full((3, 8), 0.5), grid=g, t=4)
+        fld = PopulationField(f0=f0, f1=np.full((3, 8), 0.5), grid=g, t=4)
         message = r"t=4, theta row 1 \(theta=1\.047.*\), site x=5"
         with pytest.raises(PopulationRangeError, match=message):
             step_1d(fld, params)
@@ -430,20 +422,17 @@ class TestStep1D:
         g = Grid2D(n_x=4, n_y=4, ds=1.0)
         f0 = np.full((4, 4), 0.5)
         f0[2, 1] = -0.2
-        from qlgburgers.lattice import PopulationField2D
-
-        fld = PopulationField2D(f0=f0, f1=np.full((4, 4), 0.5), grid=g, t=3)
+        fld = PopulationField(f0=f0, f1=np.full((4, 4), 0.5), grid=g, t=3)
         with pytest.raises(PopulationRangeError, match=r"t=3.*\(2, 1\)"):
             step_2d(fld, P3, ORTHOGONAL)
 
     def test_2d_range_error_names_step_and_site(self):
         from qlgburgers.collision import PopulationRangeError
-        from qlgburgers.lattice import PopulationField2D
 
         g = Grid2D(n_x=5, n_y=6, ds=1.0)
         f1 = np.full((5, 6), 0.5)
         f1[3, 4] = 1.7
-        fld = PopulationField2D(f0=np.full((5, 6), 0.5), f1=f1, grid=g, t=9)
+        fld = PopulationField(f0=np.full((5, 6), 0.5), f1=f1, grid=g, t=9)
         message = r"^collision failed at t=9, site \(i, j\)=\(3, 4\): population f1 out of"
         with pytest.raises(PopulationRangeError, match=message):
             step_2d(fld, P3, TRIANGULAR)
@@ -477,7 +466,7 @@ class TestStep2D:
             evolved = step_2d(evolved, P3, AXIS_SYMMETRIC)
         g1 = Grid1D(n_x=32, length_x=32.0)
         for j in (0, 3, 7):
-            fld1 = PopulationField1D(
+            fld1 = PopulationField(
                 f0=fld2.f0[:, j].copy(), f1=fld2.f1[:, j].copy(), grid=g1
             )
             for _ in range(20):

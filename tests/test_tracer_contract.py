@@ -1,4 +1,4 @@
-"""The benchmark tracer's contract with the package.
+"""The benchmark tracer's contract with the package, and no test-only public code.
 
 ``bench/tracing.py`` wraps only plain functions that are defined in their
 module and listed in its ``__all__``, and ``bench/jobs.py`` ``REACHED``
@@ -7,6 +7,11 @@ one of those names into an alias, a ``functools.partial`` or a private
 helper would otherwise pass these tests and fail only under
 ``bench/run.py --trace 1``.  So would a refactor that stops calling one:
 each name must still be loaded somewhere in the package outside its own def.
+
+The same holds for every function in a layer module's ``__all__``: a public
+function that no package code calls or passes is code kept for the tests
+alone, and belongs in ``tests/`` or nowhere.  ``UNCALLED`` names the only
+exceptions, each with its reason.
 """
 
 import ast
@@ -21,6 +26,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = ROOT / "bench" / "jobs.py"
 PACKAGE = ROOT / "src" / "qlgburgers"
+LAYERS = ("collision", "lattice", "experiments", "fdm", "analytic", "io", "cli")
+
+# Public functions that no package code loads, and why each stays public.
+UNCALLED = {
+    "collision.jacobian_gap": "acceptance criterion 1 checks the closed-form Jacobian against omega",
+    "experiments.shock_formation_step": "acceptance criterion 6c reads the step of shock formation",
+    "experiments.shock_onset_step": "acceptance criterion 6c reads the shock onset step",
+}
 
 
 def _reached():
@@ -70,9 +83,32 @@ def _loads():
 LOADS = _loads()
 
 
+def _loaded(qualname):
+    """Whether some package module loads the function ``layer.name`` outside its own def."""
+    layer, fn_name = qualname.split(".")
+    return any(name == fn_name and not (module == layer and inside) for module, name, inside in LOADS)
+
+
 @pytest.mark.parametrize("qualname", _reached())
 def test_reached_name_is_loaded_outside_its_def(qualname):
-    layer, fn_name = qualname.split(".")
-    assert any(
-        name == fn_name and not (module == layer and inside) for module, name, inside in LOADS
-    ), f"{qualname} is not called or passed anywhere in the package"
+    assert _loaded(qualname), f"{qualname} is not called or passed anywhere in the package"
+
+
+def _public_functions():
+    names = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"qlgburgers.{layer}")
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                names.append(f"{layer}.{name}")
+    return names
+
+
+def test_every_exception_is_a_public_function():
+    assert set(UNCALLED) <= set(_public_functions())
+
+
+@pytest.mark.parametrize("qualname", _public_functions())
+def test_public_function_is_loaded_outside_its_def(qualname):
+    assert _loaded(qualname) or qualname in UNCALLED, f"{qualname} is public, but only the tests use it"
