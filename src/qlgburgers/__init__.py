@@ -29,7 +29,6 @@ from .experiments import (
     experimental_viscosity,
     l2_compare_2d,
     mse_compare,
-    run_fdm_1d,
     run_fdm_2d,
     run_qlg_1d,
     run_qlg_2d,

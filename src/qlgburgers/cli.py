@@ -360,54 +360,54 @@ def _cmd_simulate(resolved, outdir, timings):
 
 
 def _fdm_setup(resolved, grid, params, vset):
-    """Coefficient arguments of ``run_fdm_1d``/``run_fdm_2d`` and the substep count.
+    """Coefficient set and substep count of a reference run, and their manifest entries.
 
     2D solves on the index grid: streaming shifts act there, so the
     comparison with the lattice gas is site-by-site.  1D takes (c_s, nu),
-    predicted or overridden; ``auto`` bounds its step by the axis-aligned
-    2D set that its update runs.
+    predicted or overridden, as the axis-aligned 2D set that its update
+    runs; ``auto`` bounds the step by that set.
     """
     from .collision import predicted_coefficients_1d
     from .fdm import _axis_aligned, substeps_auto
     from .lattice import predicted_coefficients_2d
 
     if vset is not None:
-        coeffs = predicted_coefficients_2d(vset.index_space(), params, grid.ds, grid.dt)
-        solver, ds = (coeffs,), grid.ds
+        ds = grid.ds
+        coeffs = predicted_coefficients_2d(vset.index_space(), params, ds, grid.dt)
+        out = {
+            "velocity_set": _vset_manifest(vset),
+            "index_space_coefficients": _coeffs_manifest(coeffs),
+        }
     else:
         predicted = predicted_coefficients_1d(params, grid.dx, grid.dt)
         fdm = resolved["fdm"]
         c_s = predicted.c_s if fdm["c_s"] is None else fdm["c_s"]
         nu = predicted.nu if fdm["nu"] is None else fdm["nu"]
-        solver, coeffs, ds = (c_s, nu), _axis_aligned(c_s, nu), grid.dx
+        coeffs, out, ds = _axis_aligned(c_s, nu), {"c_s": c_s, "nu": nu}, grid.dx
     substeps = resolved["fdm"]["substeps"]
     if substeps == "auto":
         substeps = _built("fdm.substeps", substeps_auto, coeffs=coeffs, ds=ds, dt=grid.dt)
-    return solver, substeps
+    return coeffs, substeps, out
 
 
 def _cmd_fdm(resolved, outdir, timings):
-    from .experiments import run_fdm_1d, run_fdm_2d
+    from .experiments import _fdm_snapshots
+    from .fdm import FdmDivergenceError
     from .io import _write_sites, snapshot_filename
 
     grid, params, vset = _build_setup(resolved)
     ini = resolved["initial"]
-    solver, substeps = _fdm_setup(resolved, grid, params, vset)
+    coeffs, substeps, out = _fdm_setup(resolved, grid, params, vset)
     run = (ini["rho_b"], ini["rho_a"], resolved["steps"], resolved["snapshot_stride"], substeps)
+    div_step = None
     with _timed(timings, "solve"):
-        if vset is None:
-            c_s, nu = solver
-            trace, div_step = run_fdm_1d(grid, c_s, nu, *run)
-            out = {"c_s": c_s, "nu": nu}
-        else:
-            trace, div_step = run_fdm_2d(grid, *solver, *run)
-            out = {
-                "velocity_set": _vset_manifest(vset),
-                "index_space_coefficients": _coeffs_manifest(*solver),
-            }
-    for rho, step in zip(trace.rho, trace.steps):
-        path = outdir / snapshot_filename(resolved["run_id"], int(step))
-        _write_sites(path, grid.coordinates(), float(step) * grid.dt, rho=rho)
+        # write each snapshot as it is solved, as simulate does, and hold no trace
+        try:
+            for t, rho in _fdm_snapshots(grid, coeffs, *run):
+                path = outdir / snapshot_filename(resolved["run_id"], t)
+                _write_sites(path, grid.coordinates(), float(t) * grid.dt, rho=rho)
+        except FdmDivergenceError as exc:
+            div_step = exc.step
     return {**out, "substeps": substeps, "divergence_step": div_step}
 
 
@@ -509,7 +509,7 @@ def _cmd_compare_analytic(resolved, outdir, timings):
             f"config key 'grid.length_x' implies dx={grid.dx} but input snapshots "
             f"have spacing {xs[1] - xs[0]}"
         )
-    trace = DensityTrace(rho=rho, steps=steps, grid=grid, params=params)
+    trace = DensityTrace(rho=rho, steps=steps, grid=grid)
     out = {}
     with _timed(timings, "compare"):
         for variant in ("corrected", "yepez"):
@@ -529,13 +529,13 @@ def _cmd_compare_2d(resolved, outdir, timings):
     from .io import write_rows_csv
 
     grid, params, vset = _build_setup(resolved)
-    solver, substeps = _fdm_setup(resolved, grid, params, vset)
+    coeffs, substeps, _ = _fdm_setup(resolved, grid, params, vset)
     run = _run_args(resolved, grid)
     with _timed(timings, "qlg"):
         qlg = run_qlg_2d(grid, params, vset, **run)
     with _timed(timings, "fdm"):
         fdm, div_step = run_fdm_2d(
-            grid, *solver, run["rho_b"], run["rho_a"], run["steps"], run["stride"], substeps
+            grid, coeffs, run["rho_b"], run["rho_a"], run["steps"], run["stride"], substeps
         )
     with _timed(timings, "compare"):
         series = l2_compare_2d(qlg, fdm, run["rho_b"])

@@ -4,7 +4,9 @@ This module glues the lattice gas, the analytic solution and the
 finite-difference reference together: it runs simulations into density
 traces, measures the effective viscosity with the filtered estimator,
 tracks shock steepness, and computes the error metrics used to compare
-against the analytic solution (1D) and the reference solver (2D).
+against the analytic solution (1D) and the reference solver (2D).  A
+run of either solver yields its snapshots from one generator; ``run_*``
+collects them into a trace, and the command line writes them as it goes.
 
 Everything here is pure post-processing over immutable traces; reruns
 of the same configuration are bitwise identical.
@@ -19,7 +21,7 @@ import numpy as np
 
 from .analytic import AnalyticConfig, evaluate_on_grid
 from .collision import CollisionParams, predicted_coefficients_1d
-from .fdm import FdmDivergenceError, _axis_aligned, divergence_check, fdm_step_2d, substeps_auto
+from .fdm import FdmDivergenceError, divergence_check, fdm_step_2d
 from .lattice import (
     Grid1D,
     Grid2D,
@@ -42,7 +44,6 @@ __all__ = [
     "experimental_viscosity",
     "l2_compare_2d",
     "mse_compare",
-    "run_fdm_1d",
     "run_fdm_2d",
     "run_qlg_1d",
     "run_qlg_2d",
@@ -67,19 +68,17 @@ _BLOCK = 256
 
 @dataclass(frozen=True)
 class DensityTrace:
-    """Time-indexed density snapshots of one run, or of a batch of 1D runs.
+    """Time-indexed density snapshots of one run, or of a batch of 1D runs, on a grid.
 
     ``rho`` has shape (n_snapshots, n_x) in 1D or (n_snapshots, n_x,
     n_y) in 2D; ``steps`` holds the lattice step index of each
     snapshot, with a uniform stride.  A batch of B 1D runs has ``rho``
-    of shape (n_snapshots, B, n_x) and a tuple of B parameter sets as
-    ``params``; :meth:`runs` splits it into one trace per run.
+    of shape (n_snapshots, B, n_x), and ``rho[:, k]`` holds the densities of run k.
     """
 
     rho: np.ndarray
     steps: np.ndarray
     grid: object
-    params: CollisionParams | tuple | None = None
 
     def __post_init__(self):
         if len(self.steps) != self.rho.shape[0]:
@@ -98,15 +97,6 @@ class DensityTrace:
     @property
     def is_1d(self) -> bool:
         return len(self.grid.shape) == 1
-
-    def runs(self) -> list:
-        """One trace per run: views of the rows of a batch, or ``[self]``."""
-        if not isinstance(self.params, tuple):
-            return [self]
-        return [
-            DensityTrace(rho=self.rho[:, k], steps=self.steps, grid=self.grid, params=p)
-            for k, p in enumerate(self.params)
-        ]
 
     def times(self) -> np.ndarray:
         return np.asarray(self.steps, dtype=float) * self.grid.dt
@@ -184,7 +174,7 @@ def _qlg_snapshots(grid, params, vset, rho_b, rho_a, steps, stride, collision, r
     return _snapshots(fld, lambda f, t: step_2d(f, params, vset, **kwargs), steps, stride)
 
 
-def _trace(snapshots, n_snapshots, grid, params=None) -> tuple:
+def _trace(snapshots, n_snapshots, grid) -> tuple:
     """Copy (step, rho) snapshots into one preallocated trace; returns (trace, divergence_step).
 
     A reference-solver divergence ends the trace after the last healthy snapshot.
@@ -198,20 +188,19 @@ def _trace(snapshots, n_snapshots, grid, params=None) -> tuple:
             recorded.append(t)
     except FdmDivergenceError as exc:
         div_step = exc.step
-    trace = DensityTrace(
-        rho=rho[: len(recorded)], steps=np.asarray(recorded), grid=grid, params=params
-    )
-    return trace, div_step
+    return DensityTrace(rho=rho[: len(recorded)], steps=np.asarray(recorded), grid=grid), div_step
 
 
-def _fdm_trace(grid, coeffs, ds, rho_b, rho_a, steps, stride, substeps) -> tuple:
-    """Reference-solver run from the cosine start; returns (trace, divergence_step).
+def _fdm_snapshots(grid, coeffs, rho_b, rho_a, steps, stride, substeps):
+    """Reference-solver density snapshots from the cosine start on a Grid1D or a Grid2D.
 
     Each lattice step is ``substeps`` calls of :func:`fdm_step_2d`, then the
-    divergence check; ``work`` keeps the update's buffers for this run only.
+    divergence check, whose :class:`FdmDivergenceError` ends the snapshots;
+    ``work`` keeps the update's buffers for this run only.
     """
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
+    ds = grid.dx if isinstance(grid, Grid1D) else grid.ds
     dt_sub = grid.dt / substeps
     work = {}
 
@@ -221,8 +210,7 @@ def _fdm_trace(grid, coeffs, ds, rho_b, rho_a, steps, stride, substeps) -> tuple
         divergence_check(rho, rho_b, rho_a, t)
         return rho
 
-    snaps = _snapshots(_cosine_density(grid, rho_b, rho_a), advance, steps, stride)
-    return _trace(snaps, _snapshot_count(steps, stride), grid)
+    return _snapshots(_cosine_density(grid, rho_b, rho_a), advance, steps, stride)
 
 
 def run_qlg_1d(
@@ -240,9 +228,9 @@ def run_qlg_1d(
 
     ``params`` is one :class:`CollisionParams`, or a sequence of B of them:
     then one run steps all B lattices as a (B, n_x) batch, the trace has
-    ``rho`` of shape (n_snapshots, B, n_x) and ``params`` as a tuple, and
-    row k equals the run with ``params[k]`` alone bit for bit.  The
-    quantum collision path takes one parameter set only.
+    ``rho`` of shape (n_snapshots, B, n_x), and its rows ``rho[:, k]`` equal
+    the run with ``params[k]`` alone bit for bit.  The quantum collision
+    path takes one parameter set only.
     """
     if not isinstance(params, CollisionParams):
         params = tuple(params)
@@ -250,7 +238,7 @@ def run_qlg_1d(
         grid, params, None, rho_b, rho_a, steps, stride, collision, reversed_streaming, init
     )
     snaps = ((t, density(fld)) for t, fld in snaps)
-    return _trace(snaps, _snapshot_count(steps, stride), grid, params)[0]
+    return _trace(snaps, _snapshot_count(steps, stride), grid)[0]
 
 
 def run_qlg_2d(
@@ -270,50 +258,36 @@ def run_qlg_2d(
         grid, params, vset, rho_b, rho_a, steps, stride, collision, reversed_streaming, init
     )
     snaps = ((t, density(fld)) for t, fld in snaps)
-    return _trace(snaps, _snapshot_count(steps, stride), grid, params)[0]
-
-
-def run_fdm_1d(
-    grid: Grid1D,
-    c_s: float,
-    nu: float,
-    rho_b: float,
-    rho_a: float,
-    steps: int,
-    stride: int = 1,
-    substeps: int = 1,
-) -> tuple:
-    """Run the 1D reference solver; returns (trace, divergence_step).
-
-    The time step equals the lattice dt so series align sample for
-    sample; ``substeps`` splits it for stability.  On divergence the
-    trace is truncated after the last healthy snapshot.  Each substep is
-    the 2D update of the axis-aligned set on one column.
-    """
-    coeffs = _axis_aligned(c_s, nu)
-    return _fdm_trace(grid, coeffs, grid.dx, rho_b, rho_a, steps, stride, substeps)
+    return _trace(snaps, _snapshot_count(steps, stride), grid)[0]
 
 
 def run_fdm_2d(
-    grid: Grid2D,
+    grid: Grid1D | Grid2D,
     coeffs: PdeCoefficients2D,
     rho_b: float,
     rho_a: float,
     steps: int,
-    stride: int = 1,
-    substeps="auto",
+    stride: int,
+    substeps: int,
 ) -> tuple:
-    """Run the 2D reference solver; returns (trace, divergence_step)."""
-    if substeps == "auto":
-        substeps = substeps_auto(coeffs, grid.ds, grid.dt)
-    return _fdm_trace(grid, coeffs, grid.ds, rho_b, rho_a, steps, stride, int(substeps))
+    """Run the reference solver on a Grid2D or a Grid1D; returns (trace, divergence_step).
+
+    A 1D run takes the axis-aligned set ``fdm._axis_aligned(c_s, nu)`` of
+    its (c_s, nu), which :func:`fdm_step_2d` updates on one column.  The
+    time step equals the lattice dt so series align sample for sample;
+    ``substeps``, an integer >= 1 such as :func:`substeps_auto` returns,
+    splits it for stability.  On divergence the trace is truncated after
+    the last healthy snapshot.
+    """
+    snaps = _fdm_snapshots(grid, coeffs, rho_b, rho_a, steps, stride, substeps)
+    return _trace(snaps, _snapshot_count(steps, stride), grid)
 
 
 def _check_one_1d_run(trace: DensityTrace, name: str) -> None:
     if not trace.is_1d:
         raise ValueError(f"{name} requires a 1D trace")
     if trace.rho.ndim != 2:
-        raise ValueError(f"{name} takes the trace of one run; split a batch with trace.runs()")
+        raise ValueError(f"{name} takes the trace of one run; pass a batch's rows trace.rho[:, k]")
 
 
 def _compact(values, mask):
@@ -467,7 +441,7 @@ def _cell_jumps(rho: np.ndarray) -> np.ndarray:
     return np.max(diffs, axis=(0,) + tuple(range(2, diffs.ndim)))
 
 
-def shock_steepness(trace: DensityTrace, params: CollisionParams | None = None) -> float:
+def shock_steepness(trace: DensityTrace) -> float:
     """Max steepness Delta = max_{x,t} |w~(x, t) - w~(x+1, t)|.
 
     w~ = w / alpha = c (1 - rho), so Delta = c * max |rho(x+1) - rho(x)|
@@ -614,7 +588,9 @@ def viscosity_sweep(
         params = [p for _, p, _ in batch]
         try:
             trace = run_qlg_1d(grid, params if len(batch) > 1 else params[0], rho_b, rho_a, steps)
-            for (i, p, coeffs), one in zip(batch, trace.runs()):
+            rho = trace.rho.reshape(len(trace.steps), len(batch), n_x)  # a view, one angle too
+            for k, (i, p, coeffs) in enumerate(batch):
+                one = DensityTrace(rho[:, k], trace.steps, grid)
                 est = experimental_viscosity(one, p, variant=variant)
                 nu = (coeffs.nu, coeffs.nu_yepez)
                 rows[i] = SweepRow(p.theta, *nu, est.value, est.kept_fraction, steps)
@@ -675,8 +651,8 @@ def steepness_sweep(
             if t - first + 1 < _BLOCK and t not in steps_list:
                 continue
             recorded = np.arange(first, t + 1)
-            for k, p in enumerate(params):
-                sub = DensityTrace(block[: t - first + 1, k], recorded, grid, params=p)
+            for k in range(len(params)):
+                sub = DensityTrace(block[: t - first + 1, k], recorded, grid)
                 running[k] = max(running[k], shock_steepness(sub))
             delta_at[t] = list(running)
             first = t + 1

@@ -34,6 +34,7 @@ from qlgburgers.experiments import (
     shock_onset_step,
     steepness_sweep,
 )
+from qlgburgers.fdm import substeps_auto
 from qlgburgers.lattice import (
     AXIS_SYMMETRIC,
     ORTHOGONAL,
@@ -241,7 +242,8 @@ def test_criterion_6b_l2_below_threshold():
     for vset in (AXIS_SYMMETRIC, ORTHOGONAL, TRIANGULAR):
         coeffs = predicted_coefficients_2d(vset.index_space(), params, grid.ds, grid.dt)
         qlg = run_qlg_2d(grid, params, vset, 1.0, 0.1, steps=200, stride=4)
-        fdm, div = run_fdm_2d(grid, coeffs, 1.0, 0.1, steps=200, stride=4, substeps="auto")
+        substeps = substeps_auto(coeffs, grid.ds, grid.dt)
+        fdm, div = run_fdm_2d(grid, coeffs, 1.0, 0.1, steps=200, stride=4, substeps=substeps)
         series = l2_compare_2d(qlg, fdm, rho_b=1.0)
         finite = series.values[np.isfinite(series.values)]
         worst[vset.name] = float(np.max(finite))
@@ -256,7 +258,8 @@ def test_criterion_6c_divergence_at_or_after_shock():
     vset = AXIS_SYMMETRIC
     coeffs = predicted_coefficients_2d(vset.index_space(), params, grid.ds, grid.dt)
     qlg = run_qlg_2d(grid, params, vset, 1.0, 0.4, steps=200, stride=1)
-    fdm, div = run_fdm_2d(grid, coeffs, 1.0, 0.4, steps=200, stride=1, substeps="auto")
+    substeps = substeps_auto(coeffs, grid.ds, grid.dt)
+    fdm, div = run_fdm_2d(grid, coeffs, 1.0, 0.4, steps=200, stride=1, substeps=substeps)
     onset = shock_onset_step(qlg)
     ok = div is not None and onset is not None and div >= onset
     report(

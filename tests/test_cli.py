@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -572,6 +573,37 @@ class TestOtherCommands:
         assert rc == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["divergence_step"] is not None
+
+    @pytest.mark.parametrize(
+        "command, setup, steps",
+        [
+            ("fdm2d", {"grid": {"n_x": 128, "n_y": 128}, "velocity_set": {"name": "orthogonal"}}, 40),
+            ("fdm1d", {"grid": {"n_x": 4096, "length_x": 2.0}}, 100),
+        ],
+    )
+    def test_fdm_snapshots_are_written_as_solved(self, tmp_path, command, setup, steps):
+        # the run holds no trace: with one snapshot per step its traced peak stays
+        # below 3 MB, where its snapshots alone take 5.4 MB (fdm2d) and 3.3 MB (fdm1d)
+        cfg = {
+            "model": command,
+            "run_id": "mem",
+            **setup,
+            "collision": {"theta": 1.0471975511965976},
+            "initial": {"rho_b": 1.0, "rho_a": 0.1},
+            "snapshot_stride": 1,
+        }
+        warm = write_config(tmp_path, {**cfg, "steps": 2}, "warm.yaml")
+        assert main([command, "--config", str(warm), "--out", str(tmp_path / "warm")]) == 0
+        path = write_config(tmp_path, {**cfg, "steps": steps})
+        tracemalloc.start()
+        try:
+            rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(list((tmp_path / "out").glob("mem_t*.csv"))) == steps + 1
+        assert peak < 3_000_000
 
     def test_fdm2d_rejects_1d_coefficient_keys(self, tmp_path, capsys):
         # fdm.c_s and fdm.nu set the 1D solver only; fdm2d builds its

@@ -15,7 +15,6 @@ from qlgburgers.experiments import (
     experimental_viscosity,
     l2_compare_2d,
     mse_compare,
-    run_fdm_1d,
     run_fdm_2d,
     run_qlg_1d,
     run_qlg_2d,
@@ -27,6 +26,7 @@ from qlgburgers.experiments import (
     _row_sums,
 )
 from qlgburgers.analytic import evaluate_on_grid
+from qlgburgers.fdm import _axis_aligned, substeps_auto
 from qlgburgers.lattice import AXIS_SYMMETRIC, Grid1D, Grid2D, predicted_coefficients_2d
 
 P3 = CollisionParams(theta=math.pi / 3)
@@ -81,8 +81,8 @@ class TestExperimentalViscosity:
         theta = 1.3
         params = CollisionParams(theta=theta)
         coeffs = predicted_coefficients_1d(params, grid.dx, grid.dt)
-        trace, div = run_fdm_1d(
-            grid, coeffs.c_s, coeffs.nu, 1.0, 0.005, steps=400, stride=1, substeps=4
+        trace, div = run_fdm_2d(
+            grid, _axis_aligned(coeffs.c_s, coeffs.nu), 1.0, 0.005, steps=400, stride=1, substeps=4
         )
         assert div is None
         est = experimental_viscosity(trace, params, variant="pde_consistent")
@@ -97,7 +97,8 @@ class TestExperimentalViscosity:
         # the estimator also runs on traces with no collision params at all
         grid = lattice_grid(64)
         c_s, nu = 0.25, 0.04
-        trace, _ = run_fdm_1d(grid, c_s, nu, 1.0, 0.005, steps=400, stride=1, substeps=4)
+        coeffs = _axis_aligned(c_s, nu)
+        trace, _ = run_fdm_2d(grid, coeffs, 1.0, 0.005, steps=400, stride=1, substeps=4)
         est = experimental_viscosity(trace, alpha=c_s * grid.dt / grid.dx)
         assert est.value == pytest.approx(nu, rel=0.02)
 
@@ -298,9 +299,7 @@ class TestShockSteepness:
         grid = Grid1D(n_x=64, length_x=2.0)
         params = CollisionParams(theta=1.45)
         long_trace = run_qlg_1d(grid, params, 1.0, 0.4, steps=2000, stride=1)
-        short = DensityTrace(
-            rho=long_trace.rho[:201], steps=long_trace.steps[:201], grid=grid, params=params
-        )
+        short = DensityTrace(rho=long_trace.rho[:201], steps=long_trace.steps[:201], grid=grid)
         assert shock_steepness(long_trace) >= shock_steepness(short)
 
 
@@ -363,7 +362,7 @@ class TestMseCompare:
         cfg = analytic_config_for(grid, P3, 1.0, 0.2)
         steps = np.arange(0, 33, 8)
         rho = evaluate_on_grid(cfg, grid.positions(), steps * grid.dt)
-        trace = DensityTrace(rho=rho, steps=steps, grid=grid, params=P3)
+        trace = DensityTrace(rho=rho, steps=steps, grid=grid)
         series = mse_compare(trace, cfg)
         np.testing.assert_allclose(series.values, 0.0, atol=1e-20)
 
@@ -397,7 +396,8 @@ class TestL2Compare2D:
         grid = Grid2D(n_x=8, n_y=8, ds=1.0)
         qlg = run_qlg_2d(grid, P3, AXIS_SYMMETRIC, 1.0, 0.0, steps=2, stride=1)
         coeffs = predicted_coefficients_2d(AXIS_SYMMETRIC, P3, 1.0, 1.0)
-        fdm, _ = run_fdm_2d(grid, coeffs, 1.0, 0.0, steps=2, stride=1)
+        substeps = substeps_auto(coeffs, grid.ds, grid.dt)
+        fdm, _ = run_fdm_2d(grid, coeffs, 1.0, 0.0, steps=2, stride=1, substeps=substeps)
         series = l2_compare_2d(qlg, fdm, rho_b=1.0)
         assert np.all(np.isnan(series.values))
 
@@ -417,7 +417,7 @@ class TestL2Compare2D:
         g1 = lattice_grid(n)
         c = predicted_coefficients_1d(params, g1.dx, g1.dt)
         qlg1 = run_qlg_1d(g1, params, 1.0, 0.05, steps, stride=stride)
-        fdm1, _ = run_fdm_1d(g1, c.c_s, c.nu, 1.0, 0.05, steps, stride=stride, substeps=4)
+        fdm1, _ = run_fdm_2d(g1, _axis_aligned(c.c_s, c.nu), 1.0, 0.05, steps, stride, substeps=4)
         num = np.sqrt(np.sum((qlg1.rho - fdm1.rho) ** 2, axis=1))
         den = np.sqrt(np.sum((qlg1.rho - 1.0) ** 2, axis=1))
 
@@ -429,7 +429,7 @@ class TestL2Compare2D:
         qlg2 = DensityTrace(
             rho=np.repeat(qlg1.rho[:, :, None], 8, axis=2), steps=qlg1.steps, grid=g2
         )
-        fdm2, _ = run_fdm_2d(g2, coeffs2, 1.0, 0.0, 0, stride=1)  # placeholder grid run
+        fdm2, _ = run_fdm_2d(g2, coeffs2, 1.0, 0.0, 0, stride=1, substeps=1)  # placeholder grid run
         fdm2 = DensityTrace(
             rho=np.repeat(fdm1.rho[:, :, None], 8, axis=2), steps=fdm1.steps, grid=g2
         )
@@ -504,12 +504,12 @@ class TestSweeps:
         grid = Grid1D(n_x=33, length_x=2.0)
         params = [CollisionParams(theta=t) for t in (0.3, 1.1, math.pi / 2)]
         batch = run_qlg_1d(grid, params, 1.0, 0.4, 30, stride=3, init=init, reversed_streaming=True)
-        assert batch.rho.shape == (11, 3, 33) and batch.params == tuple(params) and batch.is_1d
-        for p, one in zip(params, batch.runs()):
+        assert batch.rho.shape == (11, 3, 33) and batch.is_1d
+        for k, p in enumerate(params):
             single = run_qlg_1d(grid, p, 1.0, 0.4, 30, stride=3, init=init, reversed_streaming=True)
-            assert np.array_equal(one.rho, single.rho) and np.array_equal(one.steps, single.steps)
-            assert one.params == p
-        with pytest.raises(ValueError, match=r"trace\.runs\(\)"):
+            assert np.array_equal(batch.rho[:, k], single.rho)
+            assert np.array_equal(batch.steps, single.steps)
+        with pytest.raises(ValueError, match=r"trace of one run; pass a batch's rows trace\.rho"):
             experimental_viscosity(batch, params[0])
 
     def test_failing_batch_rerun_per_angle(self, tmp_path, monkeypatch):
@@ -572,7 +572,7 @@ class TestSweeps:
                 params = CollisionParams(theta=theta)
                 trace = run_qlg_1d(grid, params, 1.0, 0.4, 300)
                 for t in steps_list:
-                    sub = DensityTrace(trace.rho[: t + 1], trace.steps[: t + 1], grid, params)
+                    sub = DensityTrace(trace.rho[: t + 1], trace.steps[: t + 1], grid)
                     expected.append({"theta": theta, "n_x": n_x, "T": t, "delta": shock_steepness(sub)})
         assert rows == expected
 

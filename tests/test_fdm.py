@@ -8,7 +8,7 @@ import pytest
 from qlgburgers import experiments
 from qlgburgers.analytic import cole_hopf_density
 from qlgburgers.collision import CollisionParams, predicted_coefficients_1d
-from qlgburgers.experiments import analytic_config_for, run_fdm_1d, run_fdm_2d
+from qlgburgers.experiments import analytic_config_for, run_fdm_2d
 from qlgburgers.fdm import (
     FdmDivergenceError,
     _axis_aligned,
@@ -295,7 +295,8 @@ class TestRunFdm1D:
 
         monkeypatch.setattr(experiments, "divergence_check", recorded_check)
         with np.errstate(all="ignore"):
-            trace, div = run_fdm_1d(grid, c_s, nu, 1.0, 0.4, 400, stride=3, substeps=substeps)
+            coeffs = _axis_aligned(c_s, nu)
+            trace, div = run_fdm_2d(grid, coeffs, 1.0, 0.4, 400, stride=3, substeps=substeps)
             snaps, kept, error = chained_run_1d(grid, c_s, nu, 1.0, 0.4, 400, 3, substeps)
         assert (error is not None) == diverges
         assert errors == ([error] if diverges else [])
@@ -316,7 +317,8 @@ class TestConvergence:
         for n in (64, 128, 256):
             grid = Grid1D(n_x=n, length_x=2.0)
             steps = round(t_star / grid.dt)
-            trace, div = run_fdm_1d(grid, coeffs.c_s, coeffs.nu, 1.0, 0.4, steps, stride=steps)
+            one_column = _axis_aligned(coeffs.c_s, coeffs.nu)
+            trace, div = run_fdm_2d(grid, one_column, 1.0, 0.4, steps, stride=steps, substeps=1)
             assert div is None
             ana = cole_hopf_density(grid.positions(), t_star, cfg)
             errors.append(float(np.max(np.abs(trace.rho[-1] - ana))))
@@ -336,6 +338,20 @@ class TestDivergence:
         with pytest.raises(FdmDivergenceError):
             divergence_check(np.array([1.0, 2.5]), 1.0, 0.1, step=7)
         divergence_check(np.array([1.0, 1.5]), 1.0, 0.1, step=7)  # within 10 rho_a
+
+    @pytest.mark.parametrize("rho_a", [0.1, -0.1])
+    def test_excursion_bound_is_ten_times_the_amplitude_magnitude(self, rho_a):
+        # a negative amplitude bounds the excursion as its magnitude does
+        with pytest.raises(FdmDivergenceError, match="excursion 2.5 > 10 .* at step 7"):
+            divergence_check(np.array([1.0, -1.5]), 1.0, rho_a, step=7)
+        divergence_check(np.array([1.0, 0.5]), 1.0, rho_a, step=7)
+
+    @pytest.mark.parametrize("substeps", ["auto", 0, 1.5])
+    def test_run_takes_an_integer_substep_count(self, substeps):
+        # "auto" is resolved by the caller, with substeps_auto
+        grid = Grid2D(n_x=8, n_y=8, ds=1.0)
+        with pytest.raises(ValueError, match="substeps must be an integer >= 1"):
+            run_fdm_2d(grid, pure_diffusion(0.05), 1.0, 0.1, 4, stride=1, substeps=substeps)
 
     def test_unstable_run_reports_first_step_deterministically(self):
         # undersized viscosity at full step: central advection blows up
