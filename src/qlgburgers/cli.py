@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -210,13 +212,23 @@ def _check_minimum(where, value, minimum):
         raise ConfigError(f"config key '{where}' must be {kind} >= {minimum}{also}, got {value!r}")
 
 
+@functools.cache
+def _yaml_loader():
+    """``yaml.SafeLoader`` that also reads a number with an exponent and no point,
+    ``5e-3`` say, as a float; YAML 1.1, which PyYAML follows, reads a string."""
+    loader = type("Loader", (yaml.SafeLoader,), {})
+    exponent = re.compile(r"^[-+]?([0-9][0-9_]*(\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$")
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", exponent, list("-+.0123456789"))
+    return loader
+
+
 def _apply_overrides(cfg, overrides):
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not of the form key=value")
         key, _, raw = item.partition("=")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_yaml_loader())
         except yaml.YAMLError as exc:
             raise ConfigError(f"config key '{key}' override {raw!r} is not valid YAML") from exc
         node = cfg
@@ -585,7 +597,7 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_yaml_loader())
     except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read '{args.config}': {exc}", file=sys.stderr)
         return 1

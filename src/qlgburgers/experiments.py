@@ -7,6 +7,8 @@ tracks shock steepness, and computes the error metrics used to compare
 against the analytic solution (1D) and the reference solver (2D).  A
 run of either solver yields its snapshots from one generator; ``run_*``
 collects them into a trace, and the command line writes them as it goes.
+The steepness sweep keeps no trace: it steps every (N_x, theta) lattice
+as one flat state and reduces blocks of its densities as they fill.
 
 Everything here is pure post-processing over immutable traces; reruns
 of the same configuration are bitwise identical.
@@ -20,13 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import AnalyticConfig, evaluate_on_grid
-from .collision import CollisionParams, predicted_coefficients_1d
+from .collision import CollisionParams, PopulationRangeError, collide_closed_form
+from .collision import predicted_coefficients_1d
 from .fdm import FdmDivergenceError, divergence_check, fdm_step_2d
 from .lattice import (
     Grid1D,
     Grid2D,
     PdeCoefficients2D,
     VelocitySet2D,
+    _SHIFTS_1D,
     _cosine_density,
     density,
     init_cosine_1d,
@@ -62,8 +66,13 @@ DENOMINATOR_GUARD = 1e-12
 # several MB.
 _SWEEP_BATCH_BYTES = 4_000_000
 
-# Snapshots per block of the steepness maximum and of the viscosity estimator.
+# Snapshots per block of the viscosity estimator.
 _BLOCK = 256
+
+# Snapshots per block of the steepness maximum.  A block holds every lattice of a
+# sweep, 2304 sites for fig6: 128 snapshots (2.4 MB, a 3.0 MB sweep peak) run as fast
+# as 256 (4.7 MB, a 5.6 MB peak) and stay below 256 of its larger grid alone (3.1 MB).
+_STEEPNESS_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -273,7 +282,7 @@ def run_fdm_2d(
     """Run the reference solver on a Grid2D or a Grid1D; returns (trace, divergence_step).
 
     A 1D run takes the axis-aligned set ``fdm._axis_aligned(c_s, nu)`` of
-    its (c_s, nu), which :func:`fdm_step_2d` updates on one column.  The
+    its (c_s, nu), which :func:`fdm_step_2d` updates on one row.  The
     time step equals the lattice dt so series align sample for sample;
     ``substeps``, an integer >= 1 such as :func:`substeps_auto` returns,
     splits it for stability.  On divergence the trace is truncated after
@@ -621,43 +630,67 @@ def steepness_sweep(
 
     Returns rows of dicts with keys theta, n_x, T, delta.
 
-    All angles of one N_x step together as one (B, n_x) batch for
-    max(T) steps, and no trace is kept: :func:`shock_steepness` runs on
-    each angle's rows of blocks of at most ``_BLOCK`` snapshots,
-    with a block ending at every T, and a running maximum per angle gives
-    each row.  That equals the steepness of the whole trace up to T bit
-    for bit: the maximum is exact in any order, and rounding c * jump is
-    monotone in the jump.
+    Every (N_x, theta) lattice steps in one flat state for max(T) steps: one
+    group per N_x in ``n_x_list`` order, each the (B, n_x) batch of
+    :func:`init_cosine_1d` raveled, with one parameter set per site.  A step is
+    one :func:`collide_closed_form` call, which checks every site, and one
+    gather per population that streams each row periodically, so every site
+    takes the arithmetic of its run alone.  No trace is kept:
+    :func:`shock_steepness` runs on each lattice's view of blocks of at most
+    ``_STEEPNESS_BLOCK`` density snapshots, with a block ending at every T,
+    and a running maximum per lattice gives each row.  That equals the
+    steepness of the whole trace up to T bit for bit: the maximum is exact in
+    any order, and rounding c * jump is monotone in the jump.  A range error
+    names the step, N_x, theta row and site of the first bad f0 population in
+    flat order (groups, then rows, then sites), or failing that of f1.
     """
     thetas = [float(theta) for theta in thetas]
     if not len(steps_list) or any(int(T) != T or T < 0 for T in steps_list):
         raise ValueError(f"steps_list must hold integer step counts >= 0, got {steps_list!r}")
-    if not thetas:
+    if not thetas or not len(n_x_list):
         return []
     longest = int(max(steps_list))
-    rows = []
-    for n_x in n_x_list:
-        grid = Grid1D(n_x=int(n_x), length_x=length_x)
-        params = tuple(CollisionParams(theta=theta, zeta=zeta, xi=xi) for theta in thetas)
-        snaps = _qlg_snapshots(
-            grid, params, None, rho_b, rho_a, longest, 1, "closed_form", False, "equilibrium"
-        )
-        block = np.empty((_BLOCK, len(params), grid.n_x))
-        first = 0  # step of the block's first snapshot
-        running = [-math.inf] * len(params)
-        delta_at = {}  # T -> delta of every angle over steps 0..T
-        for t, fld in snaps:
-            block[t - first] = density(fld)
-            if t - first + 1 < _BLOCK and t not in steps_list:
-                continue
-            recorded = np.arange(first, t + 1)
+    params = tuple(CollisionParams(theta=theta, zeta=zeta, xi=xi) for theta in thetas)
+    grids = [Grid1D(n_x=int(n_x), length_x=length_x) for n_x in n_x_list]
+    starts = [init_cosine_1d(grid, rho_b, rho_a, params) for grid in grids]
+    f0 = np.concatenate([fld.f0.ravel() for fld in starts])
+    f1 = np.concatenate([fld.f1.ravel() for fld in starts])
+    offsets = np.cumsum([0] + [fld.f0.size for fld in starts])
+    site_params = tuple(p for grid in grids for p in params for _ in range(grid.n_x))
+    # a population moving by `shift` takes site x of its row from site (x - shift) mod n_x
+    x = np.concatenate([np.tile(np.arange(grid.n_x), len(params)) for grid in grids])
+    n = np.repeat([grid.n_x for grid in grids], np.diff(offsets))
+    sources = [np.arange(f0.size) - x + (x - shift) % n for (shift,) in _SHIFTS_1D]
+
+    block = np.empty((_STEEPNESS_BLOCK, f0.size))
+    first = 0  # step of the block's first snapshot
+    running = [[-math.inf] * len(params) for _ in grids]
+    delta_at = {}  # T -> delta of every lattice over steps 0..T, per grid
+    for t in range(longest + 1):
+        if t:
+            try:
+                g0, g1 = collide_closed_form(f0, f1, site_params)
+            except PopulationRangeError as exc:
+                g = int(np.searchsorted(offsets, exc.index, side="right")) - 1
+                row, site = divmod(int(exc.index - offsets[g]), grids[g].n_x)
+                where = f"n_x={grids[g].n_x}, theta row {row} (theta={thetas[row]!r}), site x={site}"
+                message = f"collision failed at t={t - 1}, {where}: {exc}"
+                raise PopulationRangeError(message, exc.index, exc.value) from exc
+            f0, f1 = g0.take(sources[0]), g1.take(sources[1])
+        np.add(f0, f1, out=block[t - first])
+        if t - first + 1 < _STEEPNESS_BLOCK and t not in steps_list:
+            continue
+        recorded = np.arange(first, t + 1)
+        for grid, start, best in zip(grids, offsets, running):
             for k in range(len(params)):
-                sub = DensityTrace(block[: t - first + 1, k], recorded, grid)
-                running[k] = max(running[k], shock_steepness(sub))
-            delta_at[t] = list(running)
-            first = t + 1
-        for k, theta in enumerate(thetas):
-            for t_steps in steps_list:
-                delta = delta_at[t_steps][k]
-                rows.append({"theta": theta, "n_x": int(n_x), "T": int(t_steps), "delta": delta})
-    return rows
+                lo = start + k * grid.n_x
+                sub = DensityTrace(block[: t - first + 1, lo : lo + grid.n_x], recorded, grid)
+                best[k] = max(best[k], shock_steepness(sub))
+        delta_at[t] = [list(best) for best in running]
+        first = t + 1
+    return [
+        {"theta": theta, "n_x": grid.n_x, "T": int(t_steps), "delta": delta_at[t_steps][g][k]}
+        for g, grid in enumerate(grids)
+        for k, theta in enumerate(thetas)
+        for t_steps in steps_list
+    ]

@@ -7,10 +7,11 @@ Solves the 2D anisotropic form
 with explicit Euler in time and second-order central differences in
 space (the cross derivative uses the 4-point corner stencil), periodic
 boundaries.  The 1D equation d_t rho + c_s (1 - rho) d_x rho = nu d_xx rho
-is its case a = 0, b = (c_s, 0), D = diag(nu, 0) on a single column, whose
-y terms are exact zeros: :func:`fdm_step_2d` updates a rank-1 field as one
-column, there is no separate 1D update, and ``_axis_aligned`` is the one
-statement of that coefficient set.  The
+is its case a = 0, b = (0, c_s), D = diag(0, nu) on a single row, whose
+x differences are exact zeros and whose cross term has a zero coefficient:
+:func:`fdm_step_2d` updates a rank-1 field as one row, so each pass covers
+about one entry per cell, there is no separate 1D update, and
+``_axis_aligned`` is the one statement of that coefficient set.  The
 nonlinear term is discretized non-conservatively, exactly as the equation
 is written.
 
@@ -72,8 +73,8 @@ def divergence_check(rho, rho_b: float, rho_a: float, step: int):
 
 
 def _axis_aligned(c_s: float, nu: float) -> PdeCoefficients2D:
-    """The 1D coefficients (c_s, nu) as the 2D set a = 0, b = (c_s, 0), D = diag(nu, 0)."""
-    return PdeCoefficients2D(np.zeros(2), np.array([c_s, 0.0]), np.array([[nu, 0.0], [0.0, 0.0]]))
+    """The 1D coefficients (c_s, nu) as the 2D set of a row: a = 0, b = (0, c_s), D = diag(0, nu)."""
+    return PdeCoefficients2D(np.zeros(2), np.array([0.0, c_s]), np.array([[0.0, 0.0], [0.0, nu]]))
 
 
 def _buffers(shape, work):
@@ -102,8 +103,8 @@ def _buffers(shape, work):
 def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.ndarray:
     """One explicit Euler update of the 2D equation, periodic; ``coeffs`` has a, b and D.
 
-    Axis 0 of ``rho`` is x and axis 1 is y.  A rank-1 ``rho`` is one column
-    (n_y = 1), and the result has its shape.  ``work`` is an optional dict in
+    Axis 0 of ``rho`` is x and axis 1 is y.  A rank-1 ``rho`` is one row
+    (n_x = 1), and the result has its shape.  ``work`` is an optional dict in
     which the update keeps its buffers between calls; a run passes one to all
     its updates.  Each pass forms one operation of
 
@@ -114,7 +115,7 @@ def fdm_step_2d(rho: np.ndarray, coeffs, ds: float, dt: float, work=None) -> np.
     the result is that of the whole-array expression bit for bit.
     """
     (a0, a1), (b0, b1), ((dxx, dxy), (_, dyy)) = [c.tolist() for c in (coeffs.a, coeffs.b, coeffs.D)]
-    field = rho.reshape(rho.shape[0], -1)
+    field = rho.reshape(-1, rho.shape[-1])
     halo, reads, (rx, ry, p, q, r), update = _buffers(field.shape, work)
     c, xf, xb, yf, yb, pp, pm, mp, mm = reads
     halo[1:-1, 1:-1] = field

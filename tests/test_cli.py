@@ -253,6 +253,49 @@ class TestValidation:
         assert rc == 1
         assert "collision_path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "via, spelling", [("file", "5e-3"), ("override", "5e-3"), ("file", "500E-5"), ("override", ".005e0")]
+    )
+    def test_float_key_takes_exponent_form(self, tmp_path, via, spelling):
+        # YAML 1.1 reads 5e-3 (an exponent without a point) or .005e0 (one without
+        # a sign) as a string; a float key reads 0.005 from a file and from --override alike
+        sweep = {"theta_stop": 1.3, "count": 2, "T": 8, "n_x": 8, "rho_a": 0.005}
+        cfg = {"model": "viscosity-sweep", "run_id": "vs", "sweep": sweep}
+        path = write_config(tmp_path, cfg)
+        assert main(["viscosity-sweep", "--config", str(path), "--out", str(tmp_path / "dec")]) == 0
+        if via == "file":
+            text = path.read_text()
+            assert "rho_a: 0.005" in text
+            path.write_text(text.replace("rho_a: 0.005", f"rho_a: {spelling}"))
+            extra = []
+        else:
+            path = write_config(tmp_path, {**cfg, "sweep": {**sweep, "rho_a": 0.3}})
+            extra = ["--override", f"sweep.rho_a={spelling}"]
+        assert main(["viscosity-sweep", "--config", str(path), "--out", str(tmp_path / "exp"), *extra]) == 0
+        csv = "vs_sweep.csv"
+        assert (tmp_path / "exp" / csv).read_bytes() == (tmp_path / "dec" / csv).read_bytes()
+        assert yaml.safe_load("5e-3") == "5e-3"  # PyYAML's own loader is left as it was
+
+    @pytest.mark.parametrize(
+        "text, override, message",
+        [
+            ('rho_a: "5e-3"', [], "'sweep.rho_a' must be float, got str"),
+            ("rho_a: 0.005", ["--override", "sweep.rho_a='5e-3'"], "'sweep.rho_a' must be float, got str"),
+            ("rho_a: 0.005", ["--override", "sweep.n_x=1e3"], "'sweep.n_x' must be an integer, got 1000.0"),
+        ],
+    )
+    def test_exponent_form_stays_typed(self, tmp_path, capsys, text, override, message):
+        # a quoted number is a string, and an exponent form is a float, which an int key rejects
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "model: viscosity-sweep\nrun_id: vs\nsweep:\n"
+            f"  theta_stop: 1.3\n  count: 2\n  T: 8\n  n_x: 8\n  {text}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["viscosity-sweep", "--config", str(path), "--out", str(out), *override]) == 1
+        assert capsys.readouterr().err == f"config error: config key {message}\n"
+        assert not list(out.glob("*.csv"))
+
 
 # The fuzzer's tiny valid starting point per command: 8 sites (8x8 in 2D), 4 steps,
 # sweeps of 2 angles and 8 steps.  The 2D sets are explicit shifts, so that

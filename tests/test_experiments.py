@@ -1,6 +1,7 @@
 """Estimator and comparison tests, including the sign-convention calibration."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlgburgers.collision import CollisionParams, predicted_coefficients_1d
+from qlgburgers.collision import CollisionParams, PopulationRangeError, predicted_coefficients_1d
 from qlgburgers.experiments import (
     DensityTrace,
     analytic_config_for,
@@ -561,9 +562,9 @@ class TestSweeps:
         assert "t=21, site x=" in failure["error"]
 
     def test_steepness_blocks_equal_whole_trace(self):
-        # T values straddle the 256-snapshot blocks, out of order and with T = 0;
-        # the reference takes shock_steepness of each angle's whole trace up to T
-        thetas, steps_list = [0.9, 1.3, math.pi / 2], [300, 0, 257, 255, 256]
+        # T values straddle the 128-snapshot blocks and 256, out of order and with
+        # T = 0; the reference takes shock_steepness of each angle's whole trace up to T
+        thetas, steps_list = [0.9, 1.3, math.pi / 2], [300, 0, 257, 127, 129, 255, 128, 256]
         rows = steepness_sweep(thetas, steps_list=steps_list, n_x_list=[16, 9])
         expected = []
         for n_x in (16, 9):
@@ -575,6 +576,62 @@ class TestSweeps:
                     sub = DensityTrace(trace.rho[: t + 1], trace.steps[: t + 1], grid)
                     expected.append({"theta": theta, "n_x": n_x, "T": t, "delta": shock_steepness(sub)})
         assert rows == expected
+
+    def test_steepness_sweep_memory(self):
+        # a fig6-size sweep: the flat state of all 24 lattices and its block of
+        # 128 density snapshots; stepping each grid alone in 256-snapshot blocks
+        # peaked at 4.8 MB
+        args = (np.linspace(0.2, math.pi / 2, 12), [200, 2000], [64, 128])
+        tracemalloc.start()
+        try:
+            rows = steepness_sweep(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 48
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            # (population, n_x group, theta row, site) of each injected value, then the one named
+            ([("f0", 1, 2, 100)], (1, 2, 100)),
+            ([("f1", 0, 0, 3), ("f0", 1, 1, 100)], (1, 1, 100)),
+            ([("f0", 1, 0, 5), ("f0", 0, 2, 7)], (0, 2, 7)),
+            ([("f1", 1, 0, 9), ("f1", 1, 0, 8)], (1, 0, 8)),
+        ],
+    )
+    def test_steepness_range_error_names_grid_row_and_site(self, monkeypatch, bad, named):
+        # values out of [0, 1] enter the collision of the field at t = 4; the
+        # error names the first bad f0 site in flat order (groups, rows, sites),
+        # or failing that the first bad f1 site, with its grid and theta
+        import qlgburgers.experiments as ex
+
+        thetas, n_x_list = [0.9, 1.0, 1.3], [16, 128]
+        offsets = [0, len(thetas) * 16]
+        real_collide, calls = ex.collide_closed_form, []
+
+        def collide(f0, f1, params):
+            calls.append(None)
+            if len(calls) == 5:
+                f0, f1 = f0.copy(), f1.copy()
+                for pop, group, row, x in bad:
+                    (f0 if pop == "f0" else f1)[offsets[group] + row * n_x_list[group] + x] = 1.5
+            return real_collide(f0, f1, params)
+
+        monkeypatch.setattr(ex, "collide_closed_form", collide)
+        with pytest.raises(PopulationRangeError) as err:
+            steepness_sweep(thetas, steps_list=[20], n_x_list=n_x_list)
+        group, row, x = named
+        index = offsets[group] + row * n_x_list[group] + x
+        pop = next(p for p, *where in bad if tuple(where) == named)
+        assert str(err.value) == (
+            f"collision failed at t=4, n_x={n_x_list[group]}, theta row {row} "
+            f"(theta={thetas[row]!r}), site x={x}: "
+            f"population {pop} out of [0, 1]: 1.5 at flat index {index}"
+        )
+        assert (err.value.index, err.value.value) == (index, 1.5)
+        assert len(calls) == 5
 
     def test_steepness_sweep_rows(self):
         rows = steepness_sweep([0.9, 1.3], steps_list=[50, 100], n_x_list=[32])

@@ -1,6 +1,7 @@
 """Reference-solver tests: stencils, decay rates, convergence, divergence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ class TestNeighbourReads:
 
     def test_alternating_shapes_share_one_work_dict(self):
         rng = np.random.default_rng(9)
-        shapes = [(64, 64), (5, 7), (9, 1), (5, 7), (64, 64), (9, 1)]
+        shapes = [(64, 64), (5, 7), (1, 9), (5, 7), (64, 64), (1, 9)]
         rho = {s: rng.uniform(0.6, 1.4, s) for s in shapes}
         ref, line = dict(rho), rng.uniform(0.6, 1.4, 9)
         line_ref, work = line, {}
@@ -211,15 +212,28 @@ class TestNeighbourReads:
             rho[shape] = fdm_step_2d(rho[shape], self.COEFFS, ds=0.9, dt=0.3, work=work)
             ref[shape] = roll_step_2d(ref[shape], self.COEFFS, ds=0.9, dt=0.3)
             assert np.array_equal(rho[shape], ref[shape])
-            # the 1D update runs on a (9, 1) column, the same buffers as the 2D one
+            # the 1D update runs on a (1, 9) row, the same buffers as the 2D one
             line = fdm_step_2d(line, _axis_aligned(0.8, 0.05), 0.9, 0.3, work)
             line_ref = roll_step_1d(line_ref, c_s=0.8, nu=0.05, dx=0.9, dt=0.3)
             assert np.array_equal(line, line_ref)
-        assert sorted(work) == [(5, 7), (9, 1), (64, 64)]
+        assert sorted(work) == [(1, 9), (5, 7), (64, 64)]
+
+    def test_rank_1_field_is_padded_as_one_row(self):
+        # a row pads each of its 16384 cells with about one buffer entry per
+        # pass; a (n, 1) column padded each with three and peaked at 2.5 MB
+        rho = np.random.default_rng(13).uniform(0.6, 1.4, 16384)
+        tracemalloc.start()
+        try:
+            out = fdm_step_2d(rho, _axis_aligned(0.8, 0.05), 0.9, 0.3, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == rho.shape
+        assert peak < 1_600_000
 
     @pytest.mark.parametrize("n", [64, 5, 2, 1])
     def test_2d_update_of_a_line_is_the_1d_update(self, n):
-        # a rank-1 field is one column: the 2D update with the axis-aligned set,
+        # a rank-1 field is one row: the 2D update with the axis-aligned set,
         # chained, gives the np.roll 1D update bit for bit and keeps the field rank 1
         coeffs = _axis_aligned(0.8, 0.05)
         rho = ref = np.random.default_rng(12).uniform(0.6, 1.4, n)
@@ -278,7 +292,7 @@ def chained_run_1d(grid, c_s, nu, rho_b, rho_a, steps, stride, substeps):
 
 
 class TestRunFdm1D:
-    # a 1D run is the 2D update of the axis-aligned set on one column, built
+    # a 1D run is the 2D update of the axis-aligned set on one row, built
     # once per run: it must equal chained 1D updates and checks bit for bit
     @pytest.mark.parametrize("substeps", [1, 4])
     @pytest.mark.parametrize("c_s, nu, diverges", [(0.8, 0.05, False), (40.0, 1e-4, True)])
@@ -317,8 +331,8 @@ class TestConvergence:
         for n in (64, 128, 256):
             grid = Grid1D(n_x=n, length_x=2.0)
             steps = round(t_star / grid.dt)
-            one_column = _axis_aligned(coeffs.c_s, coeffs.nu)
-            trace, div = run_fdm_2d(grid, one_column, 1.0, 0.4, steps, stride=steps, substeps=1)
+            one_row = _axis_aligned(coeffs.c_s, coeffs.nu)
+            trace, div = run_fdm_2d(grid, one_row, 1.0, 0.4, steps, stride=steps, substeps=1)
             assert div is None
             ana = cole_hopf_density(grid.positions(), t_star, cfg)
             errors.append(float(np.max(np.abs(trace.rho[-1] - ana))))
