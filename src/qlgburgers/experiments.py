@@ -1,4 +1,4 @@
-"""Estimators, run drivers and comparisons for the reproduction studies.
+"""Run drivers, estimators, sweeps and comparisons for the reproduction studies.
 
 This module glues the lattice gas, the analytic solution and the
 finite-difference reference together: it runs simulations into density
@@ -7,11 +7,13 @@ tracks shock steepness, and computes the error metrics used to compare
 against the analytic solution (1D) and the reference solver (2D).  A
 run of either solver yields its snapshots from one generator; ``run_*``
 collects them into a trace, and the command line writes them as it goes.
-The steepness sweep keeps no trace: it steps every (N_x, theta) lattice
-as one flat state and reduces blocks of its densities as they fill.
+The sweeps run the lattice gas over a theta grid: the viscosity sweep
+measures batches of traces, and the steepness sweep keeps no trace, as it
+steps every (N_x, theta) lattice as one flat state and reduces blocks of
+its densities as they fill.
 
-Everything here is pure post-processing over immutable traces; reruns
-of the same configuration are bitwise identical.
+The estimators and comparisons only read their traces, and reruns of the
+same configuration are bitwise identical.
 """
 
 from __future__ import annotations
@@ -66,13 +68,11 @@ DENOMINATOR_GUARD = 1e-12
 # several MB.
 _SWEEP_BATCH_BYTES = 4_000_000
 
-# Snapshots per block of the viscosity estimator.
-_BLOCK = 256
-
-# Snapshots per block of the steepness maximum.  A block holds every lattice of a
-# sweep, 2304 sites for fig6: 128 snapshots (2.4 MB, a 3.0 MB sweep peak) run as fast
-# as 256 (4.7 MB, a 5.6 MB peak) and stay below 256 of its larger grid alone (3.1 MB).
-_STEEPNESS_BLOCK = 128
+# Snapshots per block of the viscosity estimator and of the steepness maximum.  A
+# steepness block holds every lattice of a sweep, 2304 sites for fig6: 128 snapshots
+# (2.4 MB, a 3.0 MB sweep peak) run as fast as 256 (4.7 MB, a 5.6 MB peak) and stay
+# below 256 of its larger grid alone (3.1 MB).
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -229,22 +229,19 @@ def run_qlg_1d(
     rho_a: float,
     steps: int,
     stride: int = 1,
-    collision: str = "closed_form",
-    reversed_streaming: bool = False,
-    init: str = "equilibrium",
 ) -> DensityTrace:
-    """Run the 1D lattice gas and record density snapshots.
+    """Run the 1D lattice gas from the equilibrium start and record density snapshots.
 
+    Every step is the closed-form collision and standard streaming.
     ``params`` is one :class:`CollisionParams`, or a sequence of B of them:
     then one run steps all B lattices as a (B, n_x) batch, the trace has
     ``rho`` of shape (n_snapshots, B, n_x), and its rows ``rho[:, k]`` equal
-    the run with ``params[k]`` alone bit for bit.  The quantum collision
-    path takes one parameter set only.
+    the run with ``params[k]`` alone bit for bit.
     """
     if not isinstance(params, CollisionParams):
         params = tuple(params)
     snaps = _qlg_snapshots(
-        grid, params, None, rho_b, rho_a, steps, stride, collision, reversed_streaming, init
+        grid, params, None, rho_b, rho_a, steps, stride, "closed_form", False, "equilibrium"
     )
     snaps = ((t, density(fld)) for t, fld in snaps)
     return _trace(snaps, _snapshot_count(steps, stride), grid)[0]
@@ -330,15 +327,12 @@ def _row_sums(values, count):
 
 
 def experimental_viscosity(
-    trace: DensityTrace,
-    params: CollisionParams | None = None,
-    *,
-    alpha: float | None = None,
-    variant: str = "pde_consistent",
-    filter_sigmas: float = 1.0,
+    trace: DensityTrace, alpha: float, *, variant: str = "pde_consistent"
 ) -> ViscosityEstimate:
     """Measure the effective viscosity of a 1D density trace.
 
+    ``alpha`` = cot(theta) cos(zeta - xi) is the formula's only collision input
+    (:meth:`CollisionParams.alpha`; a reference-solver trace passes its own).
     Pointwise estimate per site and step, in lattice units,
 
         nu(x, t) = [rho(x, t+1) - rho(x, t)
@@ -375,9 +369,6 @@ def experimental_viscosity(
         sign = -1.0
     else:
         raise ValueError(f"variant must be 'literal' or 'pde_consistent', got {variant!r}")
-    if (params is None) == (alpha is None):
-        raise ValueError("pass exactly one of params or alpha")
-    a = params.alpha() if params is not None else float(alpha)
 
     rho = trace.rho
     per_step = []
@@ -396,7 +387,7 @@ def experimental_viscosity(
         den += fwd
         np.subtract(fwd, cur, out=fwd)
         num = np.subtract(cur, 1.0)
-        num *= sign * a
+        num *= sign * float(alpha)
         num *= fwd
         num += np.subtract(nxt, cur, out=fwd)
         valid = np.abs(den) >= DENOMINATOR_GUARD
@@ -411,7 +402,7 @@ def experimental_viscosity(
         mean = _row_sums(est, count) / size
         dev = np.subtract(est, mean[:, None], out=np.zeros_like(est), where=live)
         std = np.sqrt(_row_sums(dev * dev, count) / size)
-        kept = np.abs(dev, out=dev) <= filter_sigmas * std[:, None]
+        kept = np.abs(dev, out=dev) <= std[:, None]
         kept &= live
         kept, kept_count, _ = _compact(est, kept)
         used = np.flatnonzero(kept_count)  # steps with no valid or no kept point are skipped
@@ -471,8 +462,8 @@ def shock_formation_step(trace: DensityTrace) -> int:
     return int(trace.steps[int(np.argmax(_cell_jumps(trace.rho)))])
 
 
-def shock_onset_step(trace: DensityTrace, factor: float = 2.0) -> int | None:
-    """First snapshot step whose max one-cell jump reaches ``factor`` times the initial one.
+def shock_onset_step(trace: DensityTrace) -> int | None:
+    """First snapshot step whose max one-cell jump reaches twice the first snapshot's jump.
 
     Marks the onset of nonlinear steepening (the shock beginning to
     form), which precedes the gradient maximum used by
@@ -480,7 +471,7 @@ def shock_onset_step(trace: DensityTrace, factor: float = 2.0) -> int | None:
     snapshot holding a NaN is at or after the onset.
     """
     jumps = _cell_jumps(trace.rho)
-    reached = np.flatnonzero(np.isnan(jumps) | (jumps >= factor * jumps[0]))
+    reached = np.flatnonzero(np.isnan(jumps) | (jumps >= 2.0 * jumps[0]))
     return int(trace.steps[reached[0]]) if reached.size else None
 
 
@@ -600,7 +591,7 @@ def viscosity_sweep(
             rho = trace.rho.reshape(len(trace.steps), len(batch), n_x)  # a view, one angle too
             for k, (i, p, coeffs) in enumerate(batch):
                 one = DensityTrace(rho[:, k], trace.steps, grid)
-                est = experimental_viscosity(one, p, variant=variant)
+                est = experimental_viscosity(one, p.alpha(), variant=variant)
                 nu = (coeffs.nu, coeffs.nu_yepez)
                 rows[i] = SweepRow(p.theta, *nu, est.value, est.kept_fraction, steps)
         except (ValueError, ArithmeticError) as exc:
@@ -637,7 +628,7 @@ def steepness_sweep(
     gather per population that streams each row periodically, so every site
     takes the arithmetic of its run alone.  No trace is kept:
     :func:`shock_steepness` runs on each lattice's view of blocks of at most
-    ``_STEEPNESS_BLOCK`` density snapshots, with a block ending at every T,
+    ``_BLOCK`` density snapshots, with a block ending at every T,
     and a running maximum per lattice gives each row.  That equals the
     steepness of the whole trace up to T bit for bit: the maximum is exact in
     any order, and rounding c * jump is monotone in the jump.  A range error
@@ -662,7 +653,7 @@ def steepness_sweep(
     n = np.repeat([grid.n_x for grid in grids], np.diff(offsets))
     sources = [np.arange(f0.size) - x + (x - shift) % n for (shift,) in _SHIFTS_1D]
 
-    block = np.empty((_STEEPNESS_BLOCK, f0.size))
+    block = np.empty((_BLOCK, f0.size))
     first = 0  # step of the block's first snapshot
     running = [[-math.inf] * len(params) for _ in grids]
     delta_at = {}  # T -> delta of every lattice over steps 0..T, per grid
@@ -678,7 +669,7 @@ def steepness_sweep(
                 raise PopulationRangeError(message, exc.index, exc.value) from exc
             f0, f1 = g0.take(sources[0]), g1.take(sources[1])
         np.add(f0, f1, out=block[t - first])
-        if t - first + 1 < _STEEPNESS_BLOCK and t not in steps_list:
+        if t - first + 1 < _BLOCK and t not in steps_list:
             continue
         recorded = np.arange(first, t + 1)
         for grid, start, best in zip(grids, offsets, running):

@@ -24,11 +24,20 @@ from qlgburgers.experiments import (
     shock_steepness,
     steepness_sweep,
     viscosity_sweep,
+    _BLOCK,
     _row_sums,
 )
 from qlgburgers.analytic import evaluate_on_grid
 from qlgburgers.fdm import _axis_aligned, substeps_auto
-from qlgburgers.lattice import AXIS_SYMMETRIC, Grid1D, Grid2D, predicted_coefficients_2d
+from qlgburgers.lattice import (
+    AXIS_SYMMETRIC,
+    Grid1D,
+    Grid2D,
+    density,
+    init_cosine_1d,
+    predicted_coefficients_2d,
+    step_1d,
+)
 
 P3 = CollisionParams(theta=math.pi / 3)
 
@@ -86,12 +95,12 @@ class TestExperimentalViscosity:
             grid, _axis_aligned(coeffs.c_s, coeffs.nu), 1.0, 0.005, steps=400, stride=1, substeps=4
         )
         assert div is None
-        est = experimental_viscosity(trace, params, variant="pde_consistent")
+        est = experimental_viscosity(trace, params.alpha(), variant="pde_consistent")
         # the one-sigma filter keeps just under half the points here; the
         # recovery is far inside the 2 percent band regardless
         assert est.kept_fraction > 0.4
         assert est.value == pytest.approx(coeffs.nu, rel=0.02)
-        literal = experimental_viscosity(trace, params, variant="literal")
+        literal = experimental_viscosity(trace, params.alpha(), variant="literal")
         assert abs(literal.value - coeffs.nu) > abs(est.value - coeffs.nu)
 
     def test_calibration_with_explicit_alpha(self):
@@ -100,13 +109,13 @@ class TestExperimentalViscosity:
         c_s, nu = 0.25, 0.04
         coeffs = _axis_aligned(c_s, nu)
         trace, _ = run_fdm_2d(grid, coeffs, 1.0, 0.005, steps=400, stride=1, substeps=4)
-        est = experimental_viscosity(trace, alpha=c_s * grid.dt / grid.dx)
+        est = experimental_viscosity(trace, c_s * grid.dt / grid.dx)
         assert est.value == pytest.approx(nu, rel=0.02)
 
     def test_uniform_trace_gives_no_estimate(self):
         grid = lattice_grid(32)
         trace = run_qlg_1d(grid, P3, 1.2, 0.0, steps=8, stride=1)
-        est = experimental_viscosity(trace, P3)
+        est = experimental_viscosity(trace, P3.alpha())
         assert est.value is None
         assert est.n_skipped_steps == 8
         assert est.kept_fraction == 0.0
@@ -116,17 +125,17 @@ class TestExperimentalViscosity:
         params = CollisionParams(theta=1.0)
         coeffs = predicted_coefficients_1d(params, grid.dx, grid.dt)
         trace = run_qlg_1d(grid, params, 1.0, 0.005, steps=300, stride=1)
-        est = experimental_viscosity(trace, params)
+        est = experimental_viscosity(trace, params.alpha())
         assert est.value == pytest.approx(coeffs.nu, rel=0.05)
 
     def test_blocks_equal_whole_trace_formula(self):
-        # 600 step pairs span three blocks; the steps are offset so that a
+        # 600 step pairs span five blocks; the steps are offset so that a
         # block that indexed steps from its own start would show
         grid = lattice_grid(64)
         params = CollisionParams(theta=1.3)
         run = run_qlg_1d(grid, params, 1.0, 0.005, steps=600, stride=1)
         trace = DensityTrace(rho=run.rho, steps=run.steps + 1000, grid=grid)
-        est = experimental_viscosity(trace, params)
+        est = experimental_viscosity(trace, params.alpha())
         rho, a = trace.rho, params.alpha()
         cur, fwd, bwd = rho[:-1], np.roll(rho[:-1], -1, axis=1), np.roll(rho[:-1], 1, axis=1)
         num = rho[1:] - cur - a * (cur - 1.0) * (fwd - cur)
@@ -141,44 +150,40 @@ class TestExperimentalViscosity:
         assert est.per_step.tobytes() == (scale * np.asarray(expected)).tobytes()
 
     @pytest.mark.parametrize(
-        "theta, n_x, rho_a, variant, sigmas",
+        "theta, n_x, rho_a, variant",
         [
-            (0.08, 64, 0.005, "pde_consistent", 1.0),
-            (0.8, 64, 0.005, "pde_consistent", 1.0),
-            (1.3, 64, 0.005, "pde_consistent", 1.0),
-            (math.pi / 2, 64, 0.005, "pde_consistent", 1.0),
-            (1.2, 63, 0.005, "pde_consistent", 1.0),
-            (1.3, 64, 0.0, "pde_consistent", 1.0),
-            (1.0, 64, 0.005, "pde_consistent", 0.0),
-            (1.0, 33, 0.3, "literal", 1.0),
-            (1.3, 64, 0.005, "literal", 2.5),
-            (1.3, 129, 0.005, "pde_consistent", 1.0),
-            (1.1, 300, 0.005, "pde_consistent", 1.0),
+            (0.08, 64, 0.005, "pde_consistent"),
+            (0.8, 64, 0.005, "pde_consistent"),
+            (1.3, 64, 0.005, "pde_consistent"),
+            (math.pi / 2, 64, 0.005, "pde_consistent"),
+            (1.2, 63, 0.005, "pde_consistent"),
+            (1.3, 64, 0.0, "pde_consistent"),
+            (1.0, 33, 0.3, "literal"),
+            (1.3, 129, 0.005, "pde_consistent"),
+            (1.1, 300, 0.005, "pde_consistent"),
         ],
     )
-    def test_equals_numpy_mean_and_std_bitwise(self, theta, n_x, rho_a, variant, sigmas):
-        # 300 step pairs span two blocks; fig3's bytes rest on these per-step sums.
+    def test_equals_numpy_mean_and_std_bitwise(self, theta, n_x, rho_a, variant):
+        # 300 step pairs span three blocks; fig3's bytes rest on these per-step sums.
         # n_x 129 and 300 put more than numpy's 128-element pairwise block in a
         # step; no case may warn, the ones where every step is skipped included
         params = CollisionParams(theta=theta)
         trace = run_qlg_1d(lattice_grid(n_x), params, 1.0, rho_a, steps=300, stride=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est = experimental_viscosity(trace, params, variant=variant, filter_sigmas=sigmas)
+            est = experimental_viscosity(trace, params.alpha(), variant=variant)
         sign = 1.0 if variant == "literal" else -1.0
-        per_step, steps, kept, skipped = reference_viscosity(trace, params.alpha(), sign, sigmas)
+        per_step, steps, kept, skipped = reference_viscosity(trace, params.alpha(), sign)
         assert est.per_step.tobytes() == per_step.tobytes()
         assert est.steps.tobytes() == steps.tobytes()
         assert (est.kept_fraction, est.n_skipped_steps) == (kept, skipped)
         if rho_a == 0.0:
             assert skipped == 300 and est.value is None
-        if sigmas == 0.0:  # every step passes the guard and then keeps no point
-            assert skipped == 300 and reference_viscosity(trace, params.alpha())[3] == 0
 
     def test_skipped_and_kept_steps_mix_in_one_block(self):
         # pairs of snapshots, each pair one of: flat (no valid point), a ramp
         # (valid only at the wrap), a held two-valued pattern (two estimates,
-        # so none lies within half a sigma) and sparse noise (any count)
+        # each one sigma from their mean) and sparse noise (any count)
         rng = np.random.default_rng(16)
         n_x, x = 40, np.arange(40)
         rows = []
@@ -192,17 +197,19 @@ class TestExperimentalViscosity:
         params = CollisionParams(theta=1.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est = experimental_viscosity(trace, params, filter_sigmas=0.5)
-        per_step, steps, kept, skipped = reference_viscosity(trace, params.alpha(), -1.0, 0.5)
+            est = experimental_viscosity(trace, params.alpha())
+        per_step, steps, kept, skipped = reference_viscosity(trace, params.alpha())
         assert est.per_step.tobytes() == per_step.tobytes()
         assert est.steps.tobytes() == steps.tobytes()
         assert (est.kept_fraction, est.n_skipped_steps) == (kept, skipped)
-        cur = trace.rho[:256]
+        cur = trace.rho[:-1]
         den = np.roll(cur, 1, axis=1) - 2.0 * cur + np.roll(cur, -1, axis=1)
         n_valid = np.count_nonzero(np.abs(den) >= 1e-12, axis=1)
-        assert {0, 2, n_x} <= set(n_valid.tolist()) and len(set(n_valid.tolist())) > 5
-        first_block = steps[steps < 256]
-        assert 0 < len(first_block) and np.count_nonzero(n_valid == 0) < 256 - len(first_block)
+        first_block = n_valid[:_BLOCK].tolist()
+        assert {0, 2, n_x} <= set(first_block) and len(set(first_block)) > 5
+        # at one sigma every step with a valid point keeps one: only the flat pairs are skipped
+        assert steps.tolist() == np.flatnonzero(n_valid).tolist()
+        assert 0 < first_block.count(0) < _BLOCK
 
     def test_reductions_equal_numpy_mean_and_std(self):
         # the estimator's sums are numpy's own _mean/_var arithmetic; a numpy
@@ -220,21 +227,13 @@ class TestExperimentalViscosity:
         grid = lattice_grid(32)
         trace = run_qlg_1d(grid, P3, 1.0, 0.01, steps=10, stride=2)
         with pytest.raises(ValueError, match="stride"):
-            experimental_viscosity(trace, P3)
+            experimental_viscosity(trace, P3.alpha())
 
     def test_requires_1d(self):
         grid = Grid2D(n_x=8, n_y=8, ds=1.0)
         trace = run_qlg_2d(grid, P3, AXIS_SYMMETRIC, 1.0, 0.01, steps=4, stride=1)
         with pytest.raises(ValueError, match="1D"):
-            experimental_viscosity(trace, P3)
-
-    def test_exactly_one_alpha_source(self):
-        grid = lattice_grid(32)
-        trace = run_qlg_1d(grid, P3, 1.0, 0.01, steps=4, stride=1)
-        with pytest.raises(ValueError, match="exactly one"):
-            experimental_viscosity(trace)
-        with pytest.raises(ValueError, match="exactly one"):
-            experimental_viscosity(trace, P3, alpha=0.3)
+            experimental_viscosity(trace, P3.alpha())
 
 
 class TestRowSums:
@@ -337,23 +336,24 @@ class TestShockMarkers:
         trace = DensityTrace(rho=rho, steps=np.arange(0, 27, 3), grid=grid)
         jumps = [self.cell_jump(snap) for snap in rho]
         assert shock_formation_step(trace) == 3 * int(np.argmax(jumps))
-        onset = next((3 * k for k, j in enumerate(jumps) if j >= 1.5 * jumps[0]), None)
-        assert shock_onset_step(trace, factor=1.5) == onset
+        onset = next((3 * k for k, j in enumerate(jumps) if j >= 2.0 * jumps[0]), None)
+        assert shock_onset_step(trace) == onset
         if len(shape) == 1:
             assert shock_steepness(trace) == grid.c * max(jumps)
 
     def test_nan_propagates_in_every_marker(self):
         # a NaN jump counts as the largest: steepness is NaN, the first NaN
-        # snapshot is the formation step, and it reaches the onset
+        # snapshot is the formation step, and it reaches the onset, which the
+        # finite jumps, below twice the first, do not
         grid = Grid1D(n_x=16, length_x=2.0)
         rho = 1.0 + 0.1 * np.sin(np.arange(16) * 0.4) * np.arange(1, 7)[:, None] ** 0.1
         rho[3, 5] = np.nan
         trace = DensityTrace(rho=rho, steps=np.arange(0, 12, 2), grid=grid)
         assert math.isnan(shock_steepness(trace))
         assert shock_formation_step(trace) == 6
-        assert shock_onset_step(trace, factor=100.0) == 6
+        assert shock_onset_step(trace) == 6
         rho[0, 0] = np.nan
-        assert shock_onset_step(trace, factor=100.0) == 0
+        assert shock_onset_step(trace) == 0
         assert shock_formation_step(trace) == 0
 
 
@@ -449,7 +449,7 @@ class TestSweepQualitative:
             params = CollisionParams(theta=theta)
             coeffs = predicted_coefficients_1d(params, grid.dx, grid.dt)
             trace = run_qlg_1d(grid, params, 1.0, 0.005, steps, stride=1)
-            est = experimental_viscosity(trace, params)
+            est = experimental_viscosity(trace, params.alpha())
             return abs(est.value - coeffs.nu) / coeffs.nu
 
         mid_short = rel_err(0.8, 200)
@@ -467,7 +467,10 @@ class TestStreamingConvention:
         grid = Grid1D(n_x=64, length_x=2.0)
         cfg = analytic_config_for(grid, P3, 1.0, 0.4, "corrected")
         std = run_qlg_1d(grid, P3, 1.0, 0.4, steps=128, stride=16)
-        rev = run_qlg_1d(grid, P3, 1.0, 0.4, steps=128, stride=16, reversed_streaming=True)
+        fld = init_cosine_1d(grid, 1.0, 0.4, P3)
+        for _ in range(128):
+            fld = step_1d(fld, P3, reversed_streaming=True)
+        rev = DensityTrace(density(fld)[None], np.array([128]), grid)
         mse_std = mse_compare(std, cfg).values[-1]
         mse_rev = mse_compare(rev, cfg).values[-1]
         assert mse_std < 1e-3
@@ -504,14 +507,22 @@ class TestSweeps:
     def test_batch_run_equals_single_runs(self, init):
         grid = Grid1D(n_x=33, length_x=2.0)
         params = [CollisionParams(theta=t) for t in (0.3, 1.1, math.pi / 2)]
-        batch = run_qlg_1d(grid, params, 1.0, 0.4, 30, stride=3, init=init, reversed_streaming=True)
+        batch = run_qlg_1d(grid, params, 1.0, 0.4, 30, stride=3)
         assert batch.rho.shape == (11, 3, 33) and batch.is_1d
         for k, p in enumerate(params):
-            single = run_qlg_1d(grid, p, 1.0, 0.4, 30, stride=3, init=init, reversed_streaming=True)
+            single = run_qlg_1d(grid, p, 1.0, 0.4, 30, stride=3)
             assert np.array_equal(batch.rho[:, k], single.rho)
             assert np.array_equal(batch.steps, single.steps)
         with pytest.raises(ValueError, match=r"trace of one run; pass a batch's rows trace\.rho"):
-            experimental_viscosity(batch, params[0])
+            experimental_viscosity(batch, params[0].alpha())
+        # the start and the streaming that run_qlg_1d fixes, as simulate1d may set them
+        fld = init_cosine_1d(grid, 1.0, 0.4, tuple(params), init=init)
+        singles = [init_cosine_1d(grid, 1.0, 0.4, p, init=init) for p in params]
+        for _ in range(30):
+            fld = step_1d(fld, tuple(params), reversed_streaming=True)
+            singles = [step_1d(one, p, reversed_streaming=True) for one, p in zip(singles, params)]
+            for k, one in enumerate(singles):
+                assert np.array_equal(fld.f0[k], one.f0) and np.array_equal(fld.f1[k], one.f1)
 
     def test_failing_batch_rerun_per_angle(self, tmp_path, monkeypatch):
         # a population of the second angle leaves [0, 1] after step 20, so the
