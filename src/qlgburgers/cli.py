@@ -8,8 +8,9 @@ package version and stage timings into the output directory.
 Exit codes: 0 success, 1 configuration/validation error (the message
 names the offending key; an analytic series too short for its Bessel
 argument counts as one, naming ``analytic.l_trunc``; so do a config file
-that cannot be read as UTF-8 YAML and an ``--out`` that cannot be made a
-directory, which name the path), 2 runtime
+that cannot be read as UTF-8 YAML, an ``--out`` that cannot be made a
+directory and a CSV or manifest that cannot be written, which name the
+path; CSVs written before a failed write stay), 2 runtime
 divergence of the reference solver (the divergence step is recorded in
 the manifest).
 """
@@ -75,6 +76,7 @@ SCHEMAS = {
         "model": _only("d1q2"),
         "run_id": (str, REQUIRED),
         **_SETUP_1D,
+        "grid": {**_GRID_1D, "n_x": (int, REQUIRED, 3)},  # two sites stream both populations alike
         **_SNAPSHOTS,
         **_LATTICE,
     },
@@ -118,7 +120,7 @@ SCHEMAS = {
             "theta_stop": (float, REQUIRED),
             "count": (int, 30, 1),
             "T": (int, 200, 1),
-            "n_x": (int, 64, 2),
+            "n_x": (int, 64, 3),
             "rho_a": (float, 0.005),
             "rho_b": (float, 1.0),
             "variant": (str, "pde_consistent", ("pde_consistent", "literal")),
@@ -133,7 +135,7 @@ SCHEMAS = {
             "theta_stop": (float, REQUIRED),
             "count": (int, 12, 1),
             "T_values": (list, [200], 0),
-            "n_x_values": (list, [64], 2),
+            "n_x_values": (list, [64], 3),
             "length_x": (float, 2.0),
             "rho_a": (float, 0.4),
             "rho_b": (float, 1.0),
@@ -276,18 +278,13 @@ def _build_setup(resolved):
     grid = _built("grid", Grid2D if "n_y" in g else Grid1D, **g)
     params = _built("collision", CollisionParams, **resolved["collision"])
     vset = _build_vset(resolved["velocity_set"]) if "velocity_set" in resolved else None
-    if vset is not None:
-        _check_streams_differ("velocity_set", vset.shifts, grid.shape)
-    return grid, params, vset
-
-
-def _check_streams_differ(key, shifts, shape):
-    """Reject a lattice on which ``c1 - c0`` is a multiple of the grid: nothing is transported."""
-    if not np.any(np.subtract(*shifts[::-1]) % shape):
+    # on a grid where c1 - c0 is a multiple of the size nothing is transported
+    if vset is not None and not np.any(np.subtract(*vset.shifts[::-1]) % grid.shape):
         raise ConfigError(
-            f"config key '{key}' invalid: shifts {shifts!r} differ by a multiple "
-            f"of the grid {shape}, so both populations stream alike"
+            f"config key 'velocity_set' invalid: shifts {vset.shifts!r} differ by a multiple "
+            f"of the grid {grid.shape}, so both populations stream alike"
         )
+    return grid, params, vset
 
 
 def _analytic_config(resolved, grid, params, nu_variant):
@@ -352,11 +349,9 @@ def _cmd_simulate(resolved, outdir, timings):
     from .collision import predicted_coefficients_1d
     from .experiments import _qlg_snapshots
     from .io import snapshot_filename, write_snapshot_1d, write_snapshot_2d
-    from .lattice import _SHIFTS_1D, predicted_coefficients_2d
+    from .lattice import predicted_coefficients_2d
 
     grid, params, vset = _build_setup(resolved)
-    if vset is None:
-        _check_streams_differ("grid.n_x", _SHIFTS_1D, grid.shape)
     write = write_snapshot_1d if vset is None else write_snapshot_2d
     with _timed(timings, "simulate"):
         # write each snapshot when it is produced, then drop it, so the steps up
@@ -463,10 +458,8 @@ def _sweep_angles(resolved, key, check_ends):
 def _cmd_viscosity_sweep(resolved, outdir, timings):
     from .experiments import viscosity_sweep
     from .io import write_rows_csv
-    from .lattice import _SHIFTS_1D
 
     sw = resolved["sweep"]
-    _check_streams_differ("sweep.n_x", _SHIFTS_1D, (sw["n_x"],))
     thetas = _sweep_angles(resolved, "sweep", check_ends=False)
     with _timed(timings, "sweep"):
         args = (thetas, sw["T"], sw["n_x"], sw["rho_a"], sw["rho_b"])
@@ -486,12 +479,11 @@ def _cmd_viscosity_sweep(resolved, outdir, timings):
 def _cmd_steepness_sweep(resolved, outdir, timings):
     from .experiments import steepness_sweep
     from .io import write_rows_csv
-    from .lattice import _SHIFTS_1D, Grid1D
+    from .lattice import Grid1D
 
     sp = resolved["steepness"]
     for n_x in sp["n_x_values"]:
         _built("steepness", Grid1D, n_x=n_x, length_x=sp["length_x"])
-        _check_streams_differ("steepness.n_x_values", _SHIFTS_1D, (n_x,))
     thetas = _sweep_angles(resolved, "steepness", check_ends=True)
     with _timed(timings, "sweep"):
         args = (thetas, sp["T_values"], sp["n_x_values"], sp["length_x"], sp["rho_a"], sp["rho_b"])
@@ -629,7 +621,7 @@ def main(argv=None) -> int:
     try:
         with _timed(timings, "total"):
             extra = _COMMANDS[args.command](resolved, outdir, timings) or {}
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError; OSError: a read or write
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except TruncationError as exc:
@@ -637,13 +629,13 @@ def main(argv=None) -> int:
         return 1
     diverged = args.command in ("fdm1d", "fdm2d") and extra["divergence_step"] is not None
 
-    write_manifest(
-        outdir / "manifest.json",
-        resolved,
-        __version__,
-        timings,
-        extra={"results": extra},
-    )
+    try:
+        write_manifest(
+            outdir / "manifest.json", resolved, __version__, timings, extra={"results": extra}
+        )
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     return 2 if diverged else 0
 
 

@@ -8,8 +8,10 @@ yields the post-collision populations.  The same update has a closed
 form, ``(f0 - omega, f1 + omega)``, with a single scalar collision term
 ``omega``.  Both paths are implemented and kept equivalent to 1e-12.
 
-All functions are pure, accept scalars or numpy arrays for the
-population arguments, and never mutate their inputs.  :func:`omega` and
+All functions are pure and never mutate their inputs.  Population and
+density arguments are read as float arrays, and each function returns
+what numpy computes for them: arrays for arrays, and a 0-d array or
+numpy scalar for a 0-d input, never a Python float.  :func:`omega` and
 :func:`collide_closed_form` also take a sequence of parameter sets, one
 per leading row of the populations, so a sweep collides every angle in
 one call with each row's arithmetic unchanged.
@@ -206,10 +208,7 @@ def collide_quantum(f0, f1, params: CollisionParams) -> tuple:
     u = build_collision_unitary(params)
     psi = prepare_cell(f0, f1)
     psi = psi @ u.T
-    g0, g1 = measure_populations(psi)
-    if np.isscalar(f0) and np.isscalar(f1):
-        return float(g0), float(g1)
-    return g0, g1
+    return measure_populations(psi)
 
 
 # The last (params, shape, columns) of a tuple of parameter sets: a run
@@ -278,8 +277,6 @@ def omega(f0, f1, params):
     np.subtract(f0, f1, out=out)
     np.multiply(out, s2, out=out)
     np.add(out, root, out=out)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -296,15 +293,8 @@ def collide_closed_form(f0, f1, params) -> tuple:
     """
     om = omega(f0, f1, params)
     g0 = np.asarray(f0, dtype=float) - om
-    if isinstance(om, np.ndarray):  # this call's own buffer
-        g1 = np.add(f1, om, out=om)
-    else:
-        g1 = np.asarray(f1, dtype=float) + om
-    g0 = _in_unit_range(g0, "f0")
-    g1 = _in_unit_range(g1, "f1")
-    if g0.ndim == 0:
-        return float(g0), float(g1)
-    return g0, g1
+    g1 = np.add(f1, om, out=om)  # omega's own buffer
+    return _in_unit_range(g0, "f0"), _in_unit_range(g1, "f1")
 
 
 def equilibrium(rho, params: CollisionParams) -> tuple:
@@ -324,7 +314,7 @@ def equilibrium(rho, params: CollisionParams) -> tuple:
 
     The populations are formed in two new arrays and one temporary, each
     operation in place with ``out=`` and in the order of the formula above,
-    then clipped onto [0, 1] in place; a scalar rho gives two floats.
+    then clipped onto [0, 1] in place.
     """
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0.0) or np.any(rho_arr > 2.0):
@@ -351,8 +341,6 @@ def equilibrium(rho, params: CollisionParams) -> tuple:
         np.add(f1, gap, out=f1)
     np.clip(f0, 0.0, 1.0, out=f0)
     np.clip(f1, 0.0, 1.0, out=f1)
-    if f0.ndim == 0:
-        return float(f0), float(f1)
     return f0, f1
 
 
@@ -370,10 +358,7 @@ def jacobian_gap(rho, params: CollisionParams):
     rho = np.asarray(rho, dtype=float)
     a = params.alpha()
     q = np.sqrt(a * a + 1.0 - 2.0 * a * a * rho + a * a * rho * rho)
-    out = -2.0 * math.sin(params.theta) ** 2 * math.sqrt(a * a + 1.0) * q
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return -2.0 * math.sin(params.theta) ** 2 * math.sqrt(a * a + 1.0) * q
 
 
 def predicted_coefficients_1d(params: CollisionParams, dx: float, dt: float) -> PdeCoefficients1D:

@@ -41,6 +41,10 @@ class TestBesselRatio:
     def test_l_zero_is_exactly_one(self):
         assert bessel_ratios(0, 3.7)[0] == 1.0
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="l_max must be >= 0, got -1"):
+            bessel_ratios(-1, 3.7)
+
     def test_frozen_value_l1_a1(self):
         # series oracle: I_1(1)/I_0(1) = 0.446391...
         assert float(bessel_ratios(1, 1.0)[1]) == pytest.approx(0.44639, abs=1e-5)
@@ -267,6 +271,19 @@ class TestAnalyticConfigFor:
         assert fig4_config(nu_variant="yepez").nu == pytest.approx(coeffs.nu_yepez)
         with pytest.raises(ValueError):
             fig4_config(nu_variant="other")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("l_trunc", 0, "l_trunc must be >= 1, got 0"),
+            ("length_x", 0.0, "length_x must be positive, got 0.0"),
+            ("length_x", -2.0, "length_x must be positive, got -2.0"),
+        ],
+    )
+    def test_config_rejects_bad_truncation_and_length(self, field, value, message):
+        fields = {**vars(fig4_config()), field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AnalyticConfig(**fields)
 
     def test_fig4_bessel_argument(self):
         # A = c alpha rho_a / (2 nu beta) with c = 32, alpha = cot(pi/3)

@@ -130,6 +130,80 @@ class TestValidation:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.yaml"]
 
     @pytest.mark.parametrize(
+        "command, cfg, blocked, kept",
+        [
+            (
+                "steepness-sweep",
+                {"run_id": "st", "steepness": {"theta_stop": 1.3, "count": 2, "T_values": [8]}},
+                "st_steepness.csv",
+                [],
+            ),
+            (
+                "simulate1d",
+                small_1d_config(),
+                "manifest.json",
+                ["tiny_t0.csv", "tiny_t4.csv", "tiny_t8.csv"],
+            ),
+        ],
+    )
+    def test_write_failure_exits_one(self, tmp_path, capsys, command, cfg, blocked, kept):
+        # a directory where an artifact or the manifest goes; the CSVs written before it stay
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        path = write_config(tmp_path, {**cfg, "model": SCHEMAS[command]["model"][1]})
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: [Errno 21] Is a directory: '{out / blocked}'\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted([blocked, *kept])
+
+    @pytest.mark.parametrize(
+        "command, override, message",
+        [
+            ("simulate1d", "grid.n_x=2", "'grid.n_x' must be an integer >= 3, got 2"),
+            ("viscosity-sweep", "sweep.n_x=2", "'sweep.n_x' must be an integer >= 3, got 2"),
+            (
+                "steepness-sweep",
+                "steepness.n_x_values=[64,2]",
+                "'steepness.n_x_values' must be a non-empty list of integers >= 3, got [64, 2]",
+            ),
+        ],
+    )
+    def test_lattice_needs_three_sites(self, tmp_path, capsys, command, override, message):
+        # on two sites the shifts -1 and +1 coincide, so both populations stream alike
+        cfg = {
+            "simulate1d": small_1d_config(),
+            "viscosity-sweep": {"run_id": "vs", "sweep": {"theta_stop": 1.3, "count": 2, "T": 8}},
+            "steepness-sweep": {"run_id": "st", "steepness": {"theta_stop": 1.3, "count": 2}},
+        }[command]
+        path = write_config(tmp_path, {**cfg, "model": SCHEMAS[command]["model"][1]})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out), "--override", override]) == 1
+        assert capsys.readouterr().err == f"config error: config key {message}\n"
+        assert not out.exists()
+
+    def test_override_without_equals_sign(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_1d_config())
+        assert main(["simulate1d", "--config", str(path), "--override", "steps"]) == 1
+        assert capsys.readouterr().err == "config error: override 'steps' is not of the form key=value\n"
+
+    def test_velocity_set_needs_a_name_or_shifts(self, tmp_path, capsys):
+        cfg = {**small_1d_config(model="d2q2"), "grid": {"n_x": 8, "n_y": 8}, "velocity_set": {}}
+        out = tmp_path / "out"
+        assert main(["simulate2d", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: config key 'velocity_set' needs a name or explicit shifts\n"
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", sorted(SCHEMAS))
+    def test_empty_config_file_names_run_id(self, tmp_path, capsys, command):
+        # an empty file is an empty mapping, and every command requires a run_id
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: missing required config key 'run_id'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, cfg, override, key",
         [
             ("simulate1d", "1d", "snapshot_stride=0", "snapshot_stride"),
@@ -757,6 +831,23 @@ class TestOtherCommands:
         capsys.readouterr()
         assert self.compare_analytic(tmp_path, "a?") == 1
         assert capsys.readouterr().err.startswith("config error: no snapshots matching a?_t*.csv")
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("grid.n_x=32", "config key 'grid.n_x'=32 does not match input snapshots (16 sites)"),
+            (
+                "grid.length_x=4.0",
+                "config key 'grid.length_x' implies dx=0.25 but input snapshots have spacing 0.125",
+            ),
+        ],
+    )
+    def test_compare_analytic_grid_must_match_its_input(self, tmp_path, capsys, override, message):
+        self.simulate(tmp_path, "src")  # 16 sites at dx = 0.125
+        capsys.readouterr()
+        assert self.compare_analytic(tmp_path, "src", [override]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list((tmp_path / "cmp").glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["analytic", "compare-analytic"])
     def test_theta_near_half_pi_exits_before_the_series(self, tmp_path, capsys, command):

@@ -113,6 +113,12 @@ class TestPrepareMeasure:
         with pytest.raises(ValueError, match="normalized"):
             measure_populations(np.array([1.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 5), (4, 2)])
+    def test_measure_rejects_other_than_four_amplitudes(self, shape):
+        with pytest.raises(ValueError) as info:
+            measure_populations(np.zeros(shape, dtype=complex))
+        assert str(info.value) == f"cell state must have 4 amplitudes, got shape {shape}"
+
     @given(pops, pops)
     @settings(max_examples=100)
     def test_round_trip(self, f0, f1):
@@ -359,9 +365,10 @@ class TestEquilibrium:
             got = equilibrium(rho.reshape(shape), p)
             for g, w in zip(got, want):
                 assert g.shape == shape and g.tobytes() == w.tobytes()
-        for value in rho[:6].tolist():  # a scalar gives two floats, signed zeros included
+        for i, value in enumerate(rho[:6].tolist()):  # a 0-d call, signed zeros included
             got = equilibrium(value, p)
-            assert list(map(repr, got)) == [repr(float(w)) for w in self.expression(value, p)[1]]
+            for g, w in zip(got, want):
+                assert g.shape == () and g.tobytes() == w[i].tobytes()
 
     @staticmethod
     def momentum(rho, p):
@@ -469,10 +476,7 @@ def reference_omega(f0, f1, params):
     f0 = np.clip(np.asarray(f0, dtype=float), 0.0, 1.0)
     f1 = np.clip(np.asarray(f1, dtype=float), 0.0, 1.0)
     s2, cross = collision._angle_terms(params, f0.shape)
-    out = (f0 - f1) * s2 + cross * np.sqrt(f0 * (1.0 - f0) * f1 * (1.0 - f1))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.asarray((f0 - f1) * s2 + cross * np.sqrt(f0 * (1.0 - f0) * f1 * (1.0 - f1)))
 
 
 def reference_collide(f0, f1, params, omega_fn=reference_omega):
@@ -480,11 +484,7 @@ def reference_collide(f0, f1, params, omega_fn=reference_omega):
     g0 = np.asarray(f0, dtype=float) - om
     g1 = np.asarray(f1, dtype=float) + om
     reference_check(g0, g1)
-    g0 = np.clip(g0, 0.0, 1.0)
-    g1 = np.clip(g1, 0.0, 1.0)
-    if g0.ndim == 0:
-        return float(g0), float(g1)
-    return g0, g1
+    return np.asarray(np.clip(g0, 0.0, 1.0)), np.asarray(np.clip(g1, 0.0, 1.0))
 
 
 def outcome(fn, *args):
@@ -613,3 +613,34 @@ class TestFusedRangeCheck:
         f1 = np.array(rnd.sample(values, len(values)))
         p = CollisionParams(theta=theta, zeta=zeta)
         assert outcome(collide_closed_form, f0, f1, p) == outcome(reference_collide, f0, f1, p)
+
+
+class TestArrayContract:
+    """Arrays in, arrays out: a 0-d input gives the bits of the 1-element call, never a float."""
+
+    @pytest.mark.parametrize(
+        "fn, n_in, top",  # top: populations lie in [0, 1], densities in [0, 2]
+        [
+            (omega, 2, 1.0),
+            (collide_closed_form, 2, 1.0),
+            (collide_quantum, 2, 1.0),
+            (equilibrium, 1, 2.0),
+            (jacobian_gap, 1, 2.0),
+        ],
+    )
+    def test_0d_input_gives_the_bits_of_the_1_element_call(self, fn, n_in, top):
+        rng = np.random.default_rng(28)
+        edges = [[0.0, -0.0, top][:n_in], [top, 0.0][:n_in], [-0.0, top / 2][:n_in]]
+        cells = np.concatenate([edges, rng.uniform(0.0, top, size=(40, n_in))])
+        for theta, zeta in zip(rng.uniform(0.05, math.pi / 2, 10), rng.uniform(-math.pi, math.pi, 10)):
+            p = CollisionParams(theta=float(theta), zeta=float(zeta))
+            for cell in cells:
+                want = fn(*(np.array([v]) for v in cell), p)
+                want = want if isinstance(want, tuple) else (want,)
+                for kind in (float, np.float64, np.asarray):
+                    got = fn(*(kind(v) for v in cell), p)
+                    got = got if isinstance(got, tuple) else (got,)
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert type(g) is not float and np.shape(g) == ()
+                        assert np.asarray(g).tobytes() == w.tobytes()

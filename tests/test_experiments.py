@@ -52,6 +52,21 @@ class TestDensityTrace:
         with pytest.raises(ValueError, match="stride"):
             DensityTrace(rho=np.ones((3, 8)), steps=np.array([0, 1, 3]), grid=g)
 
+    def test_snapshot_counts_must_agree(self):
+        with pytest.raises(ValueError, match="steps and rho snapshot counts differ"):
+            DensityTrace(rho=np.ones((3, 8)), steps=np.array([0, 1]), grid=lattice_grid(8))
+
+    def test_one_snapshot_has_no_stride(self):
+        trace = DensityTrace(rho=np.ones((1, 8)), steps=np.array([0]), grid=lattice_grid(8))
+        with pytest.raises(ValueError, match="fewer than 2 snapshots, stride undefined"):
+            trace.stride
+
+    @pytest.mark.parametrize("steps, stride", [(-1, 1), (4, 0), (4, -2)])
+    def test_run_rejects_negative_steps_and_stride_below_one(self, steps, stride):
+        with pytest.raises(ValueError) as info:
+            run_qlg_1d(lattice_grid(8), P3, 1.0, 0.1, steps, stride=stride)
+        assert str(info.value) == f"need steps >= 0 and snapshot stride >= 1, got {steps} and {stride}"
+
     def test_times(self):
         g = Grid1D(n_x=8, length_x=2.0)
         tr = DensityTrace(rho=np.ones((3, 8)), steps=np.array([0, 2, 4]), grid=g)
@@ -235,6 +250,16 @@ class TestExperimentalViscosity:
         with pytest.raises(ValueError, match="1D"):
             experimental_viscosity(trace, P3.alpha())
 
+    def test_one_snapshot_is_too_short(self):
+        trace = run_qlg_1d(lattice_grid(16), P3, 1.0, 0.05, 0)
+        with pytest.raises(ValueError, match="trace too short: need at least 2 consecutive snapshots"):
+            experimental_viscosity(trace, P3.alpha())
+
+    def test_unknown_variant_rejected(self):
+        trace = run_qlg_1d(lattice_grid(16), P3, 1.0, 0.05, 4)
+        with pytest.raises(ValueError, match="variant must be 'literal' or 'pde_consistent', got 'plus'"):
+            experimental_viscosity(trace, P3.alpha(), variant="plus")
+
 
 class TestRowSums:
     # the estimator's grouped sums equal np.add.reduce on each row alone, bit for bit;
@@ -410,6 +435,13 @@ class TestL2Compare2D:
         with pytest.raises(ValueError, match="mismatch"):
             l2_compare_2d(a, b, rho_b=1.0)
 
+    def test_snapshot_steps_must_agree(self):
+        grid = Grid2D(n_x=8, n_y=8, ds=1.0)
+        a = run_qlg_2d(grid, P3, AXIS_SYMMETRIC, 1.0, 0.1, steps=4, stride=1)
+        b = run_qlg_2d(grid, P3, AXIS_SYMMETRIC, 1.0, 0.1, steps=8, stride=2)
+        with pytest.raises(ValueError, match="snapshot steps differ between the traces"):
+            l2_compare_2d(a, b, rho_b=1.0)
+
     def test_1d_embedded_reduction(self):
         # with the axis-aligned set and a y-constant start the 2D relative
         # L2 against the reference solver equals the 1D one to round-off
@@ -490,6 +522,15 @@ class TestSweeps:
             assert r.nu_pred == pytest.approx(
                 predicted_coefficients_1d(CollisionParams(theta=r.theta), 1.0, 1.0).nu
             )
+
+    @pytest.mark.parametrize("steps_list", [[8, 2.5], [-1], []])
+    def test_steepness_sweep_needs_integer_step_counts(self, steps_list):
+        with pytest.raises(ValueError) as info:
+            steepness_sweep([1.0], steps_list, [8])
+        assert str(info.value) == f"steps_list must hold integer step counts >= 0, got {steps_list!r}"
+
+    def test_steepness_sweep_of_no_angles_is_empty(self):
+        assert steepness_sweep([], [8], [8]) == []
 
     def test_sweep_records_failures_and_continues(self):
         rows = viscosity_sweep([1.3, float("nan")], steps=20)

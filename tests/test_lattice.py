@@ -197,6 +197,11 @@ class TestInit:
         fld = init_cosine_1d(g, 1.0, 0.3, P3, init="symmetric")
         np.testing.assert_allclose(fld.f0, fld.f1)
 
+    def test_unknown_init_rejected(self):
+        g = Grid1D(n_x=16, length_x=2.0)
+        with pytest.raises(ValueError, match="init must be 'equilibrium' or 'symmetric', got 'cold'"):
+            init_cosine_1d(g, 1.0, 0.3, P3, init="cold")
+
     def test_range_rejected(self):
         g = Grid1D(n_x=16, length_x=2.0)
         with pytest.raises(ValueError, match="leaves"):
@@ -313,6 +318,11 @@ class TestStep1D:
         np.testing.assert_allclose(nxt.f0, fld.f0, atol=1e-12)
         np.testing.assert_allclose(nxt.f1, fld.f1, atol=1e-12)
         assert nxt.t == 1
+
+    def test_unknown_collision_path_rejected(self):
+        fld = init_cosine_1d(Grid1D(n_x=16, length_x=2.0), 1.0, 0.3, P3)
+        with pytest.raises(ValueError, match="collision path must be 'closed_form' or 'quantum', got 'magic'"):
+            step_1d(fld, P3, collision="magic")
 
     def test_single_site_swap_and_shift(self):
         # theta = pi/2 collision swaps the populations; a lone f0 excess at
